@@ -2,6 +2,9 @@
 //
 // Uses OpenMP when the build enables it; degrades to a serial loop
 // otherwise. Bodies must be independent per index (no ordering guarantee).
+// Every caller states its own parallel threshold: a loop over rows
+// amortises scheduling only past ~1024 iterations, while a loop over
+// pre-sized blocks should go parallel as soon as it has two.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +31,6 @@ void parallel_for(std::int64_t n, std::int64_t min_parallel_n, Fn&& fn) {
   (void)min_parallel_n;
 #endif
   for (std::int64_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Invoke fn(i) for i in [0, n). Parallel when OpenMP is available and the
-/// trip count is large enough to amortise scheduling.
-template <typename Fn>
-void parallel_for(std::int64_t n, Fn&& fn) {
-  parallel_for(n, 1024, std::forward<Fn>(fn));
 }
 
 /// Number of worker threads the parallel_for above would use.

@@ -363,8 +363,10 @@ void OnlineTrainer::train() {
     stats_.last_candidate_rme = cand_rme;
     stats_.last_live_rme = live_rme;
     train_inflight_ = false;
+    // Notify under the lock: once stop() sees !train_inflight_ it may
+    // destroy cv_, so this task must be done with it before unlocking.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 
   switch (outcome) {
     case Outcome::kSwapped:

@@ -4,18 +4,31 @@
 // every variant here is built from the SAME simd primitives (simd::dot,
 // Ell::spmv_rows, MergeCsr::walk_partition), so serial, SIMD and parallel
 // runs produce bitwise-identical y — the contract the differential test
-// suite enforces. The formats whose work decomposes cleanly:
-//   * CSR  — row-parallel (each row owned by one task; no races).
-//   * ELL  — parallel over row blocks of the column-major slots; the
+// suite enforces.
+//
+// Task rule (for_each_spmv_task): ELL and SELL split their rows into about
+// 4 x parallel_threads() contiguous tasks, each at least kMinTaskRows rows
+// and a multiple of kTaskAlignRows rows (64 doubles = 8 cache lines, so
+// with a line-aligned y neighbouring ELL tasks never share a y cache
+// line); SELL counts in whole slices. Any split with two or more tasks
+// enters the parallel region. A task edge only decides which thread
+// computes a row, never the order of that row's adds — every kernel below
+// owns each y row in exactly one task — so the split is free to follow
+// the thread count.
+//
+// The formats whose work decomposes cleanly:
+//   * CSR  — row-parallel (each row owned by one iteration; no races).
+//   * ELL  — parallel over row tasks of the column-major slots; the
 //     kernel is elementwise per (row, slot) so blocking cannot change
 //     any row's accumulation order.
-//   * HYB  — parallel ELL part + serial COO spill (the spill is small by
-//            construction).
-//   * SELL — parallel over slice blocks; the sorted-row permutation
+//   * HYB  — parallel ELL part (same row tasks) + serial COO spill (the
+//            spill is small by construction).
+//   * SELL — parallel over slice tasks; the sorted-row permutation
 //     partitions output rows across slices (each y row is owned by
 //     exactly one slice), so blocking cannot race or reorder any row's
 //     ascending-slot-column accumulation.
-//   * merge-CSR — the real merge-path decomposition: y is zero-filled,
+//   * merge-CSR — the real merge-path decomposition over the partitions
+//     fixed at conversion (they already balance nnz): y is zero-filled,
 //     every partition accumulates the rows whose boundary it owns (each
 //     such flush is unique to one partition, so writes are race-free),
 //     and one trailing carry (row, partial) per partition is applied in a
@@ -41,6 +54,34 @@
 
 namespace spmvml {
 
+/// Task edges fall on multiples of this many rows.
+inline constexpr index_t kTaskAlignRows = 64;
+/// No task is shorter than this many rows (except the last, or a lone one).
+inline constexpr index_t kMinTaskRows = 512;
+
+/// Runs fn(begin, count) over the tasks of the rule above, for `units`
+/// contiguous units of `unit_rows` rows each (1 for ELL rows, the slice
+/// height for SELL slices). A task is a whole number of
+/// max(1, kTaskAlignRows / unit_rows) units — a multiple of kTaskAlignRows
+/// rows whenever unit_rows divides it; the last task takes the remainder.
+template <typename Fn>
+void for_each_spmv_task(index_t units, index_t unit_rows, Fn&& fn) {
+  unit_rows = std::max<index_t>(1, unit_rows);
+  const index_t align = std::max<index_t>(1, kTaskAlignRows / unit_rows);
+  const auto round_up = [align](index_t n) {
+    return std::max<index_t>(1, (n + align - 1) / align) * align;
+  };
+  const index_t want = 4 * static_cast<index_t>(parallel_threads());
+  const index_t per_task =
+      std::max(round_up((kMinTaskRows + unit_rows - 1) / unit_rows),
+               round_up((units + want - 1) / want));
+  parallel_for((units + per_task - 1) / per_task, /*min_parallel_n=*/2,
+               [&](index_t t) {
+                 const index_t begin = t * per_task;
+                 fn(begin, std::min(per_task, units - begin));
+               });
+}
+
 /// y = A*x, rows in parallel.
 template <typename ValueT>
 void spmv_parallel(const Csr<ValueT>& a,
@@ -52,7 +93,7 @@ void spmv_parallel(const Csr<ValueT>& a,
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   const auto dot = simd::dot_kernel<ValueT>();
-  parallel_for(a.rows(), [&](index_t r) {
+  parallel_for(a.rows(), /*min_parallel_n=*/1024, [&](index_t r) {
     const index_t begin = row_ptr[static_cast<std::size_t>(r)];
     y[static_cast<std::size_t>(r)] =
         dot(values.data() + begin, col_idx.data() + begin, x.data(),
@@ -60,24 +101,20 @@ void spmv_parallel(const Csr<ValueT>& a,
   });
 }
 
-/// y = A*x, parallel over row blocks of the ELL slots.
+/// y = A*x, parallel over row tasks of the ELL slots.
 template <typename ValueT>
 void spmv_parallel(const Ell<ValueT>& a,
                    std::type_identity_t<std::span<const ValueT>> x,
                    std::type_identity_t<std::span<ValueT>> y) {
   SPMVML_ENSURE(static_cast<index_t>(x.size()) == a.cols(), "x size != cols");
   SPMVML_ENSURE(static_cast<index_t>(y.size()) == a.rows(), "y size != rows");
-  constexpr index_t kBlock = 4096;  // rows per task
-  const index_t blocks = (a.rows() + kBlock - 1) / kBlock;
-  parallel_for(blocks, [&](index_t b) {
-    const index_t begin = b * kBlock;
-    const index_t count = std::min<index_t>(kBlock, a.rows() - begin);
+  for_each_spmv_task(a.rows(), 1, [&](index_t begin, index_t count) {
     std::fill(y.begin() + begin, y.begin() + begin + count, ValueT{});
     a.spmv_rows(x, y, begin, count);
   });
 }
 
-/// y = A*x, parallel over SELL slice blocks (each slice owns the y rows
+/// y = A*x, parallel over SELL slice tasks (each slice owns the y rows
 /// its permutation entries name — race-free by construction).
 template <typename ValueT>
 void spmv_parallel(const Sell<ValueT>& a,
@@ -85,15 +122,10 @@ void spmv_parallel(const Sell<ValueT>& a,
                    std::type_identity_t<std::span<ValueT>> y) {
   SPMVML_ENSURE(static_cast<index_t>(x.size()) == a.cols(), "x size != cols");
   SPMVML_ENSURE(static_cast<index_t>(y.size()) == a.rows(), "y size != rows");
-  const index_t slices = a.num_slices();
-  // ~4096 rows per task, like the ELL row blocking.
-  const index_t per_block =
-      std::max<index_t>(1, 4096 / std::max<index_t>(1, a.slice_height()));
-  const index_t blocks = (slices + per_block - 1) / per_block;
-  parallel_for(blocks, [&](index_t b) {
-    const index_t begin = b * per_block;
-    a.spmv_slices(x, y, begin, std::min<index_t>(per_block, slices - begin));
-  });
+  for_each_spmv_task(a.num_slices(), a.slice_height(),
+                     [&](index_t begin, index_t count) {
+                       a.spmv_slices(x, y, begin, count);
+                     });
 }
 
 /// y = A*x: parallel ELL prefix + serial COO spill.
@@ -122,10 +154,10 @@ void spmv_parallel(const MergeCsr<ValueT>& a,
 
   // Zero-fill so every phase-1 write can be '+=' (each non-carry flush is
   // unique to one partition — no races).
-  parallel_for(a.rows(),
+  parallel_for(a.rows(), /*min_parallel_n=*/1024,
                [&](index_t r) { y[static_cast<std::size_t>(r)] = ValueT{}; });
 
-  parallel_for(parts, [&](index_t part) {
+  parallel_for(parts, /*min_parallel_n=*/2, [&](index_t part) {
     auto& carry = carries[static_cast<std::size_t>(part)];
     bool first_flush = true;
     // The first flush of a partition may belong to a row begun in an

@@ -227,7 +227,8 @@ TEST(Env, CorpusScaleClamped) {
 
 TEST(Parallel, ParallelForCoversAllIndices) {
   std::vector<int> hits(5000, 0);
-  parallel_for(5000, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
+  parallel_for(5000, /*min_parallel_n=*/1024,
+               [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
   EXPECT_GE(parallel_threads(), 1);
 }

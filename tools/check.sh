@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, plus optional sanitizer passes.
 #
-#   tools/check.sh            # configure + build + ctest (the tier-1 gate)
+#   tools/check.sh            # configure + build + ctest (the tier-1 gate),
+#                             # then the parallel SpMV tests again at
+#                             # OMP_NUM_THREADS=3
 #   tools/check.sh --asan     # same, in a separate build dir with
 #                             # -fsanitize=address,undefined
 #   tools/check.sh --tsan     # ThreadSanitizer over the concurrency tests
@@ -69,6 +71,11 @@ else
     exit 1
   fi
   run_suite build
+  # The parallel SpMV kernels again at an odd thread count, which splits
+  # their tasks unevenly across threads (--tsan runs with OpenMP off).
+  echo "== parallel SpMV at OMP_NUM_THREADS=3 =="
+  OMP_NUM_THREADS=3 ctest --test-dir build --output-on-failure -j "$jobs" \
+    -R 'ParallelSpmv|ParallelMatchesSerial|MergeParallel|Differential'
   echo "== sidecar self-test (binary CSR round-trip, bitwise) =="
   ./build/tools/spmvml sidecar --self-test
   echo "== serving smoke (BENCH_serving.json schema + contract check) =="
