@@ -417,16 +417,23 @@ void finish_entry(ParallelCollectContext& ctx, const MatrixTask& task) {
     ++ctx.prefix;
   if (ctx.cancelled) return;  // draining after a failure: stay quiet
   const CollectOptions& opt = ctx.options;
-  if (!opt.checkpoint_path.empty() && opt.checkpoint_every > 0 &&
-      ctx.prefix < ctx.plan.size() && ctx.prefix > ctx.last_checkpoint &&
-      (ctx.prefix - ctx.start) / opt.checkpoint_every >
-          (ctx.last_checkpoint - ctx.start) / opt.checkpoint_every) {
-    ctx.last_checkpoint = ctx.prefix;
-    write_prefix_checkpoint(ctx, ctx.prefix);
+  try {
+    if (!opt.checkpoint_path.empty() && opt.checkpoint_every > 0 &&
+        ctx.prefix < ctx.plan.size() && ctx.prefix > ctx.last_checkpoint &&
+        (ctx.prefix - ctx.start) / opt.checkpoint_every >
+            (ctx.last_checkpoint - ctx.start) / opt.checkpoint_every) {
+      ctx.last_checkpoint = ctx.prefix;
+      write_prefix_checkpoint(ctx, ctx.prefix);
+    }
+    // Serialized under the lock; `done` is monotonic exactly like the
+    // serial path's (m + 1).
+    if (opt.progress) opt.progress(ctx.start + ctx.completed, ctx.plan.size());
+  } catch (...) {
+    // Cancel before the lock drops: otherwise another worker could finish
+    // an entry and report progress before run_matrix_task's handler runs.
+    ctx.cancelled = true;
+    throw;
   }
-  // Serialized under the lock; `done` is monotonic exactly like the
-  // serial path's (m + 1).
-  if (opt.progress) opt.progress(ctx.start + ctx.completed, ctx.plan.size());
 }
 
 void run_matrix_task(ParallelCollectContext& ctx,
