@@ -204,7 +204,6 @@ int run_chaos(const BenchConfig& cfg,
   serve::ServiceConfig svc_cfg;
   svc_cfg.threads = 4;
   svc_cfg.max_batch = 16;
-  svc_cfg.max_delay_ms = 0.5;
   svc_cfg.queue_capacity = 1024;
   svc_cfg.cache_capacity = 0;  // every request extracts: faults bite
   svc_cfg.admission_target_ms = cfg.admission_target_ms();
@@ -653,7 +652,6 @@ DriftResult run_drift_phase(const BenchConfig& cfg) {
   serve::ServiceConfig dcfg;
   dcfg.threads = 2;
   dcfg.max_batch = 8;
-  dcfg.max_delay_ms = 0.2;
   dcfg.cache_capacity = 64;
   dcfg.learn.enabled = true;
   dcfg.learn.replay_capacity = 256;
@@ -888,7 +886,6 @@ int main_impl(int argc, char** argv) {
   serve::ServiceConfig svc_cfg;
   svc_cfg.threads = 4;
   svc_cfg.max_batch = 16;
-  svc_cfg.max_delay_ms = 0.5;
   svc_cfg.queue_capacity = 1024;
   svc_cfg.cache_capacity = 64;
   // Fast-path ingest: sharded dispatch plus the materialized-matrix
@@ -1110,7 +1107,6 @@ int main_impl(int argc, char** argv) {
   json.kv("smoke", cfg.smoke);
   json.kv("threads", svc_cfg.threads);
   json.kv("max_batch", static_cast<std::uint64_t>(svc_cfg.max_batch));
-  json.kv("max_delay_ms", svc_cfg.max_delay_ms);
   json.kv("queue_capacity",
           static_cast<std::uint64_t>(svc_cfg.queue_capacity));
   json.kv("matrices", cfg.matrices());

@@ -186,27 +186,21 @@ MatrixCache::View MatrixCache::parse(const std::string& path,
   return view;
 }
 
+std::optional<MatrixCache::View> MatrixCache::cached_view(std::uint64_t key) {
+  auto cached = get(key);
+  if (!cached) return std::nullopt;
+  View view;
+  view.matrix = std::move(*cached);
+  view.key = key;
+  view.cache_hit = true;
+  return view;
+}
+
 MatrixCache::View MatrixCache::load(const std::string& path) {
   // Fast path: stat-cache key + LRU hit — no file opened at all.
-  const auto id = file_identity(path);
-  if (id) {
-    std::optional<std::uint64_t> key;
-    {
-      std::lock_guard<std::mutex> lock(stat_mu_);
-      const auto it = stat_cache_.find(path);
-      if (it != stat_cache_.end() && it->second.id == *id)
-        key = it->second.key;
-    }
-    if (key) {
-      if (auto cached = get(*key)) {
-        View view;
-        view.matrix = std::move(*cached);
-        view.key = *key;
-        view.cache_hit = true;
-        return view;
-      }
-    }
-  }
+  const std::optional<std::uint64_t> known = resolve_key(path);
+  if (known)
+    if (auto view = cached_view(*known)) return std::move(*view);
 
   // Miss (or unknown file): single-flight on the path. The first comer
   // parses; everyone else waits on its future and shares the result —
@@ -228,21 +222,28 @@ MatrixCache::View MatrixCache::load(const std::string& path) {
     return flight->future.get();  // rethrows the leader's Error, if any
   }
   try {
-    // Stat again inside the flight (the earlier stat may have failed —
-    // that failure must surface as the reader's kIo, not silently).
-    const auto fresh = file_identity(path);
-    View view = parse(path, fresh.value_or(FileId{}));
-    put(view.key, view.matrix);
-    if (fresh) {
-      std::lock_guard<std::mutex> lock(stat_mu_);
-      stat_cache_[path] = StatEntry{*fresh, view.key};
+    // A flight on this path that finished after the fast-path check has
+    // already published its key; serve that instead of parsing again.
+    std::optional<View> view;
+    if (!known)
+      if (const auto key = resolve_key(path)) view = cached_view(*key);
+    if (!view) {
+      // Stat again inside the flight (the earlier stat may have failed —
+      // that failure must surface as the reader's kIo, not silently).
+      const auto fresh = file_identity(path);
+      view = parse(path, fresh.value_or(FileId{}));
+      put(view->key, view->matrix);
+      if (fresh) {
+        std::lock_guard<std::mutex> lock(stat_mu_);
+        stat_cache_[path] = StatEntry{*fresh, view->key};
+      }
     }
-    flight->promise.set_value(view);
+    flight->promise.set_value(*view);
     {
       std::lock_guard<std::mutex> lock(flight_mu_);
       flights_.erase(path);
     }
-    return view;
+    return std::move(*view);
   } catch (...) {
     flight->promise.set_exception(std::current_exception());
     {

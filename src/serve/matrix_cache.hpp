@@ -133,6 +133,8 @@ class MatrixCache {
   static std::optional<FileId> file_identity(const std::string& path);
   /// The parse itself: sidecar-or-mmio with transparent fallback.
   View parse(const std::string& path, const FileId& id);
+  /// LRU lookup by content key, as a cache-hit View.
+  std::optional<View> cached_view(std::uint64_t key);
 
   std::size_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

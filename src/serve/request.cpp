@@ -329,7 +329,7 @@ ParsedLine parse_request_line(const std::string& line) {
                     "single format is chosen)");
   // Every request leaves the parser with a stable id and a sampling
   // decision; downstream stages tag trace events with the id and never
-  // re-decide sampling (so the decision survives work-stealing).
+  // re-decide sampling (so the decision survives the shard queue).
   const std::uint64_t seq =
       g_request_seq.fetch_add(1, std::memory_order_relaxed);
   if (r.id.empty()) r.id = "srv-" + std::to_string(seq);

@@ -34,8 +34,8 @@ struct Request {
   /// Stable request id: the client's `id` when supplied, otherwise a
   /// generated `srv-<seq>` assigned at parse. Echoed on the response and
   /// tagged on every trace event the request produces, so one id follows
-  /// the request through admission, shard queues, work-stealing, batch
-  /// stages and materialization.
+  /// the request through admission, shard queues, batch stages and
+  /// materialization.
   std::string id;
   /// True when the per-request trace sampler (`--trace-sample=N` /
   /// SPMVML_TRACE_SAMPLE) picked this request: the service emits

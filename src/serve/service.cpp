@@ -36,7 +36,6 @@ ServiceConfig sanitize(ServiceConfig cfg) {
   cfg.threads = cfg.threads < 1 ? 1 : cfg.threads;
   cfg.max_batch = std::max<std::size_t>(cfg.max_batch, 1);
   cfg.queue_capacity = std::max<std::size_t>(cfg.queue_capacity, 1);
-  cfg.max_delay_ms = std::max(cfg.max_delay_ms, 0.0);
   cfg.ingest_cache_shards = std::max(cfg.ingest_cache_shards, 1);
   cfg.dispatch_shards = std::max(cfg.dispatch_shards, 1);
   cfg.admission_target_ms = std::max(cfg.admission_target_ms, 0.0);
@@ -86,8 +85,8 @@ Service::Service(ServiceConfig config, ModelRegistry& registry)
   shards_.reserve(n_shards);
   for (std::size_t i = 0; i < n_shards; ++i)
     shards_.push_back(std::make_unique<DispatchShard>());
-  // Dispatchers start only after every shard exists: a thief may scan
-  // the whole shard vector on its first wakeup.
+  // Dispatchers start only after every shard exists: release_slot()
+  // walks the whole shard vector.
   for (std::size_t i = 0; i < n_shards; ++i)
     shards_[i]->dispatcher = std::thread([this, i] { dispatcher_loop(i); });
   if (cfg_.watchdog_ms > 0.0)
@@ -98,7 +97,6 @@ Service::Service(ServiceConfig config, ModelRegistry& registry)
   obs::log_info("serve.start")
       .kv("threads", pool_.size())
       .kv("max_batch", static_cast<std::uint64_t>(cfg_.max_batch))
-      .kv("max_delay_ms", cfg_.max_delay_ms)
       .kv("queue_capacity", static_cast<std::uint64_t>(cfg_.queue_capacity))
       .kv("dispatch_shards", static_cast<std::uint64_t>(n_shards))
       .kv("ingest_cache_mb",
@@ -111,7 +109,7 @@ Service::~Service() { shutdown(); }
 
 void Service::submit(Request req, Callback done) {
   // Sampling was decided once at parse; it travels with the request (so
-  // it survives shard hand-offs and work-stealing) and only turns into
+  // it survives the shard queue and the batch hand-off) and only turns into
   // events while a trace is actually recording.
   const bool sampled = req.trace_sampled && obs::trace_enabled();
   if (sampled) obs::trace_instant("req.admit", req.id);
@@ -159,13 +157,7 @@ void Service::submit(Request req, Callback done) {
               Pending{std::move(req), std::move(slot), Clock::now()});
           obs::MetricsRegistry::global().gauge("serve.queue_depth").set(
               static_cast<double>(depth + 1));
-          if (shards_.size() > 1 && shard.queue.size() > cfg_.max_batch) {
-            // More than a full batch pending here: hint an idle
-            // neighbour to steal the overflow.
-            steal_hint_.fetch_add(1, std::memory_order_relaxed);
-            shards_[(shard_index + 1) % shards_.size()]->cv.notify_one();
-          }
-          shard.cv.notify_all();
+          shard.cv.notify_one();
           return;
         }
         total_queued_.fetch_sub(1, std::memory_order_relaxed);
@@ -229,7 +221,6 @@ void Service::shutdown() {
         .kv("rejected", rejected_.load())
         .kv("degraded", degraded_.load())
         .kv("shed", shed_.load())
-        .kv("steals", steals_.load())
         .kv("watchdog_killed", watchdog_killed_.load());
   });
 }
@@ -245,8 +236,23 @@ Service::Counters Service::counters() const {
   c.watchdog_killed = watchdog_killed_.load(std::memory_order_relaxed);
   c.breaker_trips = feature_breaker_.trips() + inference_breaker_.trips() +
                     regress_breaker_.trips() + materialize_breaker_.trips();
-  c.steals = steals_.load(std::memory_order_relaxed);
   return c;
+}
+
+bool Service::claim_slot() {
+  int running = running_batches_.load();
+  while (running < cfg_.threads)
+    if (running_batches_.compare_exchange_weak(running, running + 1))
+      return true;
+  return false;
+}
+
+void Service::release_slot() {
+  running_batches_.fetch_sub(1);
+  for (auto& s : shards_) {
+    std::lock_guard<std::mutex> lock(s->mu);
+    s->cv.notify_one();
+  }
 }
 
 void Service::launch_batch(std::vector<Pending> batch) {
@@ -254,73 +260,25 @@ void Service::launch_batch(std::vector<Pending> batch) {
   obs::MetricsRegistry::global().gauge("serve.queue_depth").set(
       static_cast<double>(total_queued_.load(std::memory_order_relaxed)));
   auto shared = std::make_shared<std::vector<Pending>>(std::move(batch));
-  pool_.submit([this, shared] { process_batch(*shared); });
-}
-
-std::vector<Service::Pending> Service::steal_batch(std::size_t thief_index) {
-  std::vector<Pending> stolen;
-  const std::size_t n_shards = shards_.size();
-  for (std::size_t off = 1; off < n_shards && stolen.empty(); ++off) {
-    DispatchShard& victim = *shards_[(thief_index + off) % n_shards];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    // Only a genuine backlog (more than one full batch) is worth
-    // stealing; raiding a shard mid-window would just fragment its
-    // batch. Take the OLDEST requests — they have waited longest and
-    // need no further batching delay.
-    if (victim.queue.size() <= cfg_.max_batch) continue;
-    const std::size_t n = std::min(cfg_.max_batch, victim.queue.size() / 2);
-    stolen.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stolen.push_back(std::move(victim.queue.front()));
-      victim.queue.pop_front();
-    }
-  }
-  return stolen;
+  pool_.submit([this, shared] {
+    process_batch(*shared);
+    release_slot();
+  });
 }
 
 void Service::dispatcher_loop(std::size_t shard_index) {
   DispatchShard& self = *shards_[shard_index];
   std::unique_lock<std::mutex> lock(self.mu);
   for (;;) {
+    // Work-conserving gate: launch the moment there is work and a free
+    // slot. Requests wait here only while every slot is busy, and they
+    // leave together as one batch. Shutdown still drains the queue
+    // through the same gate.
     self.cv.wait(lock, [&] {
-      return stopping_.load(std::memory_order_relaxed) ||
-             !self.queue.empty() ||
-             (shards_.size() > 1 &&
-              steal_hint_.load(std::memory_order_relaxed) > 0);
+      if (self.queue.empty()) return stopping_.load(std::memory_order_relaxed);
+      return claim_slot();
     });
-    if (self.queue.empty()) {
-      if (shards_.size() > 1 &&
-          steal_hint_.load(std::memory_order_relaxed) > 0) {
-        // Consume one hint, then scan the other shards for overflow. A
-        // stale hint (the owner drained first) costs one idle scan.
-        int h = steal_hint_.load(std::memory_order_relaxed);
-        while (h > 0 && !steal_hint_.compare_exchange_weak(
-                            h, h - 1, std::memory_order_relaxed)) {
-        }
-        lock.unlock();
-        std::vector<Pending> stolen = steal_batch(shard_index);
-        if (!stolen.empty()) {
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          obs::MetricsRegistry::global().counter("serve.steal").inc();
-          launch_batch(std::move(stolen));
-        }
-        lock.lock();
-        continue;
-      }
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    // Micro-batch window: opened by the oldest pending request. Keep the
-    // batch open until it is full or the window closes; shutdown closes
-    // every window immediately so draining never waits out a delay.
-    const auto close_at =
-        self.queue.front().enqueued +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(cfg_.max_delay_ms));
-    while (!stopping_.load(std::memory_order_relaxed) &&
-           self.queue.size() < cfg_.max_batch && Clock::now() < close_at)
-      self.cv.wait_until(lock, close_at);
-    if (self.queue.empty()) continue;  // a thief drained us mid-window
+    if (self.queue.empty()) return;  // stopping, and nothing left to run
 
     const std::size_t n = std::min(self.queue.size(), cfg_.max_batch);
     std::vector<Pending> batch;
@@ -624,8 +582,8 @@ void Service::process_batch(std::vector<Pending>& batch) {
       s.rsp.queue_ms = ms_between(batch[i].enqueued, picked_up);
       registry_metrics.histogram("serve.queue_s", obs::default_latency_bounds_s())
           .observe(s.rsp.queue_ms / 1e3);
-      // Queue wait started on the submitting thread and ended here
-      // (possibly after a steal), so it is recorded retroactively.
+      // Queue wait started on the submitting thread and ended here, so
+      // it is recorded retroactively.
       if (sampled)
         obs::trace_complete("req.queue", s.rsp.queue_ms * 1e3, s.rsp.id);
       if (bundle == nullptr) {

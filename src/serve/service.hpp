@@ -4,21 +4,26 @@
 // Life of a request (DESIGN.md §5f, hardening §5h, ingest §5i):
 //
 //   submit() ── admission control ──> dispatch shard ──> dispatcher
-//     (reject "overloaded" when full;      │  coalesces up to max_batch
-//      shed when the estimated queue       │  or waits max_delay_ms
-//      wait cannot meet the deadline       v
-//      or the admission target)   thread-pool batch task: resolve
+//     (reject "overloaded" when full;      │  launches up to max_batch
+//      shed when the estimated queue       │  pending requests the moment
+//      wait cannot meet the deadline       │  a batch slot is free
+//      or the admission target)            v
+//                                 thread-pool batch task: resolve
 //               features (ingest + feature caches), run the classifier
 //               ONCE per batch, per-format regressors for indirect and
-//               predict requests, fulfil callbacks
+//               predict requests, fulfil callbacks, free the slot
+//
+// Work-conserving micro-batching: at most `threads` batches run at once
+// (one slot per pool worker, claimed by compare-exchange). A dispatcher
+// launches its pending requests as soon as a slot is free, so an idle
+// service answers a lone request without waiting; requests accumulate
+// into larger batches only while every worker is busy.
 //
 // Sharded dispatch: submit() round-robins requests across dispatch_shards
 // independent {mutex, queue, dispatcher thread} shards, so producers no
-// longer serialize on one queue lock. Each shard keeps the micro-batch
-// window semantics of the single dispatcher; an idle shard steals the
-// oldest requests from a backlogged neighbour (overflow hint + steal
-// scan), so one hot shard cannot strand latency while others sleep.
-// dispatch_shards = 1 reproduces the original single-dispatcher service.
+// longer serialize on one queue lock. The slot count is global: a
+// finishing batch wakes every dispatcher, and whichever shard has work
+// claims the freed slot. dispatch_shards = 1 is a single dispatcher.
 //
 // Ingestion: matrix files resolve through the MatrixCache (matrix_cache.hpp)
 // — stat-cache content keys, a byte-budget LRU of parsed CSRs served as
@@ -85,9 +90,6 @@ struct ServiceConfig {
   int threads = 1;
   /// Coalesce at most this many requests per inference batch.
   std::size_t max_batch = 16;
-  /// How long the dispatcher holds an open batch waiting for more
-  /// requests before running it anyway.
-  double max_delay_ms = 1.0;
   /// Admission control: pending requests beyond this are rejected.
   /// The capacity is global across dispatch shards.
   std::size_t queue_capacity = 256;
@@ -101,8 +103,8 @@ struct ServiceConfig {
   std::size_t ingest_cache_bytes = 256ull << 20;
   int ingest_cache_shards = 8;
   /// Dispatch shards (serve --shards): independent pending queues and
-  /// dispatcher threads; submit round-robins across them and idle shards
-  /// steal from backlogged ones. 1 = the original single dispatcher.
+  /// dispatcher threads; submit round-robins across them. 1 = a single
+  /// dispatcher.
   int dispatch_shards = 1;
   /// Precision assumed by the memory-feasibility gate.
   Precision precision = Precision::kDouble;
@@ -178,7 +180,6 @@ class Service {
     std::uint64_t retries = 0;          // transient-fault retries spent
     std::uint64_t watchdog_killed = 0;  // requests failed by the watchdog
     std::uint64_t breaker_trips = 0;    // sum over the stage breakers
-    std::uint64_t steals = 0;  // batches an idle shard stole from another
   };
   Counters counters() const;
 
@@ -229,10 +230,12 @@ class Service {
   };
 
   void dispatcher_loop(std::size_t shard_index);
-  /// Take the oldest pending requests (up to max_batch) from another
-  /// shard's queue. Called with no shard lock held; returns the stolen
-  /// batch (possibly empty).
-  std::vector<Pending> steal_batch(std::size_t thief_index);
+  /// Take one of the `threads` batch slots; false when all are in use.
+  bool claim_slot();
+  /// Return a slot and wake every dispatcher under its shard lock, so a
+  /// dispatcher that just found no free slot cannot miss the wakeup.
+  void release_slot();
+  /// Run a batch on the pool; the caller has claimed its slot.
   void launch_batch(std::vector<Pending> batch);
   void process_batch(std::vector<Pending>& batch);
   void watchdog_loop();
@@ -273,10 +276,10 @@ class Service {
   std::atomic<std::uint64_t> submit_seq_{0};
   /// Requests sitting in shard queues (global, for the capacity gate).
   std::atomic<std::uint64_t> total_queued_{0};
-  /// Backlogged-shard hint: bumped by submit() when a shard's queue
-  /// exceeds one full batch; wakes a neighbour to steal.
-  std::atomic<int> steal_hint_{0};
-  std::atomic<std::uint64_t> steals_{0};
+  /// Batches claimed by a dispatcher and not yet finished, <= threads.
+  /// Only batches count: nested feature-block tasks and the online
+  /// trainer share pool_ but hold no slot.
+  std::atomic<int> running_batches_{0};
   std::once_flag shutdown_once_;
 
   std::mutex inflight_mu_;
@@ -298,9 +301,9 @@ class Service {
   /// the shedding quickly), rises slowly (one slow batch is not a
   /// regime change).
   std::atomic<double> batch_item_cost_ms_{0.0};
-  /// Items admitted but not yet finished (shard queues + batches in
-  /// or awaiting the pool). The dispatchers drain their queues into
-  /// pool tasks immediately, so queue sizes alone hide the real backlog.
+  /// Items admitted but not yet finished: shard queues plus running
+  /// batches. Queue depth alone misses the up to `threads` batches
+  /// already on the workers.
   std::atomic<std::uint64_t> backlog_{0};
 
   std::mutex watchdog_mu_;

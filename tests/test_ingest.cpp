@@ -331,7 +331,6 @@ TEST(IngestService, ShardedDispatchAnswersEveryRequest) {
   ServiceConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.2;
   cfg.dispatch_shards = 4;
   Service service(cfg, registry);
 
@@ -365,7 +364,6 @@ TEST(IngestService, InlineFeaturesMaterializeUsesIngestCache) {
   ServiceConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 0.2;
   Service service(cfg, registry);
 
   TempMatrix file("test_ingest_inline.tmp.mtx", 91);

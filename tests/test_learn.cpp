@@ -614,7 +614,6 @@ TEST(LearnContract, LearningModeDoesNotPerturbResponses) {
     ServiceConfig cfg;
     cfg.threads = 2;
     cfg.max_batch = 8;
-    cfg.max_delay_ms = 0.2;
     if (learn_on) {
       cfg.learn.enabled = true;
       cfg.learn.poll_every_s = 0.005;

@@ -92,7 +92,6 @@ ServiceConfig quick_config() {
   ServiceConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 0.1;
   cfg.cache_capacity = 0;  // every request walks the extract stage
   return cfg;
 }

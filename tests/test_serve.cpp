@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/chaos/chaos.hpp"
 #include "common/error.hpp"
+#include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
 #include "core/format_selector.hpp"
 #include "core/perf_model.hpp"
@@ -91,6 +93,34 @@ struct TempMatrixFile {
   }
   ~TempMatrixFile() { std::remove(path.c_str()); }
 };
+
+/// Holds a single-worker service's only batch slot: submits a
+/// file-backed request whose feature extraction sleeps under the
+/// caller's chaos latency rule at feature_extract (inline-feature
+/// requests never reach that site), and returns once that request's
+/// batch is running. Every later submit then stays queued until the
+/// blocker finishes.
+std::future<Response> occupy_worker(Service& service, const std::string& path) {
+  const auto injected = [] {
+    return obs::MetricsRegistry::global().snapshot().counter(
+        "chaos.injected.feature_extract");
+  };
+  const std::uint64_t before = injected();
+  Request req;
+  req.id = "blocker";
+  req.mode = RequestMode::kSelect;
+  req.matrix_path = path;
+  std::future<Response> done = service.submit(std::move(req));
+  while (injected() == before)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  return done;
+}
+
+std::shared_ptr<chaos::Engine> slow_feature_extract() {
+  return std::make_shared<chaos::Engine>(chaos::Scenario::parse_string(
+      "seed 1\nrule site=feature_extract kind=latency rate=1 "
+      "latency_ms=200\n"));
+}
 
 serve::CachedFeatures tagged(double tag) {
   serve::CachedFeatures v;
@@ -527,7 +557,6 @@ ServiceConfig quick_config() {
   ServiceConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 0.2;
   return cfg;
 }
 
@@ -583,11 +612,15 @@ TEST(ServeService, MatchesOneShotPredictions) {
 TEST(ServeService, MicroBatchingCoalesces) {
   ModelRegistry registry;
   registry.install(tree_selector());
+  TempMatrixFile blocker_file("test_serve_coalesce.tmp.mtx", 21);
+  chaos::ScopedGlobalEngine scoped(slow_feature_extract());
   ServiceConfig cfg;
   cfg.threads = 1;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 250.0;  // generous window: all 8 land in one batch
   Service service(cfg, registry);
+  // The only worker is busy, so all 8 queue up and leave as one batch
+  // the moment it frees.
+  std::future<Response> blocker = occupy_worker(service, blocker_file.path);
 
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 8; ++i)
@@ -598,23 +631,27 @@ TEST(ServeService, MicroBatchingCoalesces) {
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.batch, 8u);
   }
+  EXPECT_TRUE(blocker.get().ok);
 }
 
 TEST(ServeService, AdmissionControlRejectsWhenFull) {
   ModelRegistry registry;
   registry.install(tree_selector());
+  TempMatrixFile blocker_file("test_serve_admission.tmp.mtx", 22);
+  chaos::ScopedGlobalEngine scoped(slow_feature_extract());
   ServiceConfig cfg;
   cfg.threads = 1;
-  cfg.max_batch = 100;        // never fills
-  cfg.max_delay_ms = 1000.0;  // window held open while we overflow the queue
+  cfg.max_batch = 100;  // never fills
   cfg.queue_capacity = 2;
   Service service(cfg, registry);
+  // The busy worker keeps the queue from draining while we overflow it.
+  std::future<Response> blocker = occupy_worker(service, blocker_file.path);
 
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i)
     futures.push_back(service.submit(
         inline_request("a" + std::to_string(i), RequestMode::kSelect, 0)));
-  service.shutdown();  // closes the window; the two queued requests run
+  service.shutdown();  // the two queued requests run after the blocker
 
   int accepted = 0, rejected = 0;
   for (auto& f : futures) {
@@ -629,6 +666,7 @@ TEST(ServeService, AdmissionControlRejectsWhenFull) {
   EXPECT_EQ(accepted, 2);
   EXPECT_EQ(rejected, 4);
   EXPECT_EQ(service.counters().rejected, 4u);
+  EXPECT_TRUE(blocker.get().ok);
 }
 
 TEST(ServeService, DeadlineExpiryDegradesToDirect) {
@@ -775,13 +813,17 @@ TEST(ServeService, EmptyRegistryFailsCleanly) {
 TEST(ServeService, ShutdownDrainsAcceptedRequests) {
   ModelRegistry registry;
   registry.install(tree_selector());
+  TempMatrixFile blocker_file("test_serve_drain.tmp.mtx", 23);
+  chaos::ScopedGlobalEngine scoped(slow_feature_extract());
   ServiceConfig cfg;
   cfg.threads = 1;
   cfg.max_batch = 4;
-  cfg.max_delay_ms = 500.0;  // requests would otherwise sit in the window
   std::vector<std::future<Response>> futures;
   {
     Service service(cfg, registry);
+    // The three requests are still queued behind the busy worker when
+    // the destructor runs.
+    futures.push_back(occupy_worker(service, blocker_file.path));
     for (int i = 0; i < 3; ++i)
       futures.push_back(service.submit(
           inline_request("s" + std::to_string(i), RequestMode::kSelect, i)));
@@ -800,7 +842,6 @@ TEST(ServeService, HotSwapUnderLoad) {
   ServiceConfig cfg;
   cfg.threads = 4;
   cfg.max_batch = 8;
-  cfg.max_delay_ms = 0.1;
   Service service(cfg, registry);
 
   constexpr int kClients = 4, kPerClient = 50, kSwaps = 10;
@@ -896,7 +937,7 @@ TEST(ServeService, SampledRequestEmitsIdTaggedSpans) {
   const std::string trace = slurp(trace_path);
   std::remove(trace_path.c_str());
   // The sampled request leaves a per-request span trail, each event
-  // tagged with the request id (the thing that survives work-stealing).
+  // tagged with the request id (the thing that survives the shard queue).
   EXPECT_NE(trace.find("req.admit"), std::string::npos);
   EXPECT_NE(trace.find("req.queue"), std::string::npos);
   EXPECT_NE(trace.find("req.done"), std::string::npos);

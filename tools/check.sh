@@ -2,7 +2,8 @@
 # Tier-1 verification, plus optional sanitizer passes.
 #
 #   tools/check.sh            # configure + build + ctest (the tier-1 gate),
-#                             # then the parallel SpMV tests again at
+#                             # then the serving dispatcher tests 30 times
+#                             # and the parallel SpMV tests again at
 #                             # OMP_NUM_THREADS=3
 #   tools/check.sh --asan     # same, in a separate build dir with
 #                             # -fsanitize=address,undefined
@@ -71,6 +72,12 @@ else
     exit 1
   fi
   run_suite build
+  # A single run hides dispatcher races: repeat the tests that pin batch
+  # composition, admission behind a busy worker, drain and sharding.
+  echo "== serving dispatcher tests, repeated =="
+  ctest --test-dir build --output-on-failure -j "$jobs" \
+    -R 'ServeService\.(MicroBatching|AdmissionControl|ShutdownDrains)|IngestService\.ShardedDispatch' \
+    --repeat until-fail:30
   # The parallel SpMV kernels again at an odd thread count, which splits
   # their tasks unevenly across threads (--tsan runs with OpenMP off).
   echo "== parallel SpMV at OMP_NUM_THREADS=3 =="

@@ -91,8 +91,7 @@ namespace {
                "                    bitwise identity with the text parse\n"
                "  spmvml serve      --model <file> [--perf-model <file>] "
                "[--threads N]\n"
-               "                    [--max-batch N] [--max-delay-ms F] "
-               "[--queue-cap N]\n"
+               "                    [--max-batch N] [--queue-cap N]\n"
                "                    [--cache-cap N] [--mem-budget GB] "
                "[--precision ...]\n"
                "                    [--ingest-cache-mb N] [--shards N]\n"
@@ -420,7 +419,6 @@ int cmd_serve(const Args& a) {
   cfg.threads = threads_of(a);
   cfg.max_batch =
       static_cast<std::size_t>(numeric_opt(a, "max-batch", 16.0, 1.0, 4096.0));
-  cfg.max_delay_ms = numeric_opt(a, "max-delay-ms", 1.0, 0.0, 10000.0);
   cfg.queue_capacity =
       static_cast<std::size_t>(numeric_opt(a, "queue-cap", 256.0, 1.0, 1e6));
   cfg.cache_capacity =
@@ -593,7 +591,6 @@ int cmd_serve(const Args& a) {
         w.kv("retries", counters.retries);
         w.kv("watchdog_killed", counters.watchdog_killed);
         w.kv("breaker_trips", counters.breaker_trips);
-        w.kv("steals", counters.steals);
         w.end_object();
         w.key("scorecard");
         w.begin_object();
@@ -658,8 +655,7 @@ int cmd_serve(const Args& a) {
       .kv("shed", counters.shed)
       .kv("retries", counters.retries)
       .kv("watchdog_killed", counters.watchdog_killed)
-      .kv("breaker_trips", counters.breaker_trips)
-      .kv("steals", counters.steals);
+      .kv("breaker_trips", counters.breaker_trips);
   const auto ingest = service.ingest().stats();
   obs::log_info("serve.ingest.summary")
       .kv("hits", ingest.hits)
