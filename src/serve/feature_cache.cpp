@@ -1,7 +1,6 @@
 #include "serve/feature_cache.hpp"
 
-#include <bit>
-
+#include "common/hash.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/rng.hpp"
 
@@ -38,10 +37,9 @@ std::uint64_t matrix_content_hash(const Csr<double>& m) {
   h = mix(h, static_cast<std::uint64_t>(m.rows()));
   h = mix(h, static_cast<std::uint64_t>(m.cols()));
   h = mix(h, static_cast<std::uint64_t>(m.nnz()));
-  for (const auto v : m.row_ptr()) h = mix(h, static_cast<std::uint64_t>(v));
-  for (const auto v : m.col_idx()) h = mix(h, static_cast<std::uint64_t>(v));
-  for (const double v : m.values()) h = mix(h, std::bit_cast<std::uint64_t>(v));
-  return h;
+  h = hash_bytes(m.row_ptr().data(), m.row_ptr().size_bytes(), h);
+  h = hash_bytes(m.col_idx().data(), m.col_idx().size_bytes(), h);
+  return hash_bytes(m.values().data(), m.values().size_bytes(), h);
 }
 
 FeatureCache::FeatureCache(std::size_t capacity, int shards) {

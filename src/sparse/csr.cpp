@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sparse/coo.hpp"
@@ -24,35 +26,65 @@ template <typename ValueT>
 Csr<ValueT> Csr<ValueT>::from_triplets(index_t rows, index_t cols,
                                        std::vector<Triplet<ValueT>> entries) {
   SPMVML_ENSURE(rows >= 0 && cols >= 0, "negative dimensions");
+  // Counting sort by row: count, prefix-sum, then scatter in input order,
+  // so each row holds its entries in the order they were given.
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
   for (const auto& e : entries) {
     SPMVML_ENSURE(e.row >= 0 && e.row < rows, "triplet row out of range");
     SPMVML_ENSURE(e.col >= 0 && e.col < cols, "triplet col out of range");
+    ++row_ptr[static_cast<std::size_t>(e.row) + 1];
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Triplet<ValueT>& a, const Triplet<ValueT>& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-  // Sum duplicates in place.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (out > 0 && entries[out - 1].row == entries[i].row &&
-        entries[out - 1].col == entries[i].col) {
-      entries[out - 1].value += entries[i].value;
-    } else {
-      entries[out++] = entries[i];
-    }
-  }
-  entries.resize(out);
-
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
   std::vector<index_t> col_idx(entries.size());
   std::vector<ValueT> values(entries.size());
-  for (const auto& e : entries) ++row_ptr[static_cast<std::size_t>(e.row) + 1];
-  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    col_idx[i] = entries[i].col;
-    values[i] = entries[i].value;
+  {
+    std::vector<index_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+    for (const auto& e : entries) {
+      const auto dst =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.row)]++);
+      col_idx[dst] = e.col;
+      values[dst] = e.value;
+    }
   }
+  entries = {};
+
+  // Only rows whose columns are not already strictly increasing get a
+  // stable sort by column. Duplicates are then adjacent and in input
+  // order, and the compaction sums them left to right.
+  std::vector<std::pair<index_t, ValueT>> row;
+  index_t out = 0;
+  for (index_t r = 0; r < rows; ++r) {
+    const auto begin = static_cast<std::size_t>(row_ptr[r]);
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    row_ptr[r] = out;
+    bool sorted = true;
+    for (std::size_t p = begin + 1; p < end && sorted; ++p)
+      sorted = col_idx[p - 1] < col_idx[p];
+    if (!sorted) {
+      row.clear();
+      for (std::size_t p = begin; p < end; ++p)
+        row.emplace_back(col_idx[p], values[p]);
+      std::stable_sort(row.begin(), row.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      for (std::size_t i = 0; i < row.size(); ++i)
+        std::tie(col_idx[begin + i], values[begin + i]) = row[i];
+    }
+    for (std::size_t p = begin; p < end; ++p) {
+      const auto o = static_cast<std::size_t>(out);
+      if (out > row_ptr[r] && col_idx[o - 1] == col_idx[p]) {
+        values[o - 1] += values[p];
+      } else {
+        col_idx[o] = col_idx[p];
+        values[o] = values[p];
+        ++out;
+      }
+    }
+  }
+  row_ptr[static_cast<std::size_t>(rows)] = out;
+  col_idx.resize(static_cast<std::size_t>(out));
+  values.resize(static_cast<std::size_t>(out));
   return Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
              std::move(values));
 }

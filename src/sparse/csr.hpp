@@ -28,7 +28,9 @@ class Csr {
       std::vector<index_t> col_idx, std::vector<ValueT> values);
 
   /// Build from (possibly unsorted, possibly duplicated) triplets;
-  /// duplicates are summed, matching Matrix Market semantics.
+  /// duplicates are summed, matching Matrix Market semantics. Entries of a
+  /// row keep their input order until sorted by column (a stable counting
+  /// sort), so duplicates are summed left to right in input order.
   static Csr from_triplets(index_t rows, index_t cols,
                            std::vector<Triplet<ValueT>> entries);
 

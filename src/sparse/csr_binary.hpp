@@ -1,21 +1,25 @@
 // Binary CSR sidecar format (`.spmvml-csr`) — the zero-parse ingest path
 // of the serving subsystem.
 //
-// Matrix Market text is the interchange format, but parsing it costs an
-// istream tokenization per entry plus a from_triplets sort — two orders
-// of magnitude more than the SpMV it feeds. A sidecar file stores the
-// already-canonical CSR arrays raw, wrapped in a checksummed one-line
-// envelope in the same spirit as the model-file envelope (ml/serialize):
+// Matrix Market text is the interchange format, but parsing it costs a
+// number conversion per entry plus a CSR build — several times more than
+// the SpMV it feeds. A sidecar file stores the already-canonical CSR
+// arrays raw, wrapped in a checksummed one-line envelope in the same
+// spirit as the model-file envelope (ml/serialize):
 //
-//   spmvml-csr 1 <rows> <cols> <nnz> <payload_bytes> <fnv1a64-hex>\n
+//   spmvml-csr 2 <rows> <cols> <nnz> <payload_bytes> <hash-hex>\n
 //   <row_ptr bytes><col_idx bytes><values bytes>
 //
-// payload_bytes catches truncation before any allocation; the FNV-1a
-// checksum over the raw payload catches bit rot and hand edits; the
-// loader still runs Csr::validate(), so a corrupt-but-checksummed file
-// can never smuggle broken invariants into the kernels. All failures
-// throw Error(kParse) (kIo when the file cannot be opened), and the
-// serving ingest path falls back to the Matrix Market text transparently.
+// The envelope line is read with a 256-byte bound. payload_bytes catches
+// truncation before any allocation; the checksum — hash_bytes
+// (common/hash.hpp), the word-parallel hash, chained over the three
+// arrays — catches bit rot and hand edits, and any single-word change
+// always changes it; the loader still runs Csr::validate(), so a
+// corrupt-but-checksummed file can never smuggle broken invariants into
+// the kernels. All failures throw Error(kParse) (kIo when the file cannot
+// be opened), and the serving ingest path falls back to the Matrix Market
+// text transparently. Version 1 files (FNV-1a checksum) fail the version
+// check, so they take that fallback; `spmvml sidecar` rewrites them.
 //
 // Arrays are written in host byte order (the format is a cache artifact
 // produced and consumed on the same machine, not an interchange format).
@@ -29,7 +33,7 @@
 namespace spmvml {
 
 inline constexpr const char* kCsrBinaryMagic = "spmvml-csr";
-inline constexpr int kCsrBinaryVersion = 1;
+inline constexpr int kCsrBinaryVersion = 2;
 /// Sidecar naming convention: `<matrix>.mtx` -> `<matrix>.mtx.spmvml-csr`.
 inline constexpr const char* kCsrSidecarSuffix = ".spmvml-csr";
 

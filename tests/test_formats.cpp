@@ -3,10 +3,13 @@
 // matrices, single entries, dense rows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sparse/spmv.hpp"
 
 namespace spmvml {
@@ -48,6 +51,67 @@ TEST(Csr, FromTripletsSortsAndSumsDuplicates) {
   EXPECT_EQ(m.col_idx()[0], 0);
   EXPECT_EQ(m.col_idx()[1], 1);
   EXPECT_DOUBLE_EQ(m.values()[2], 4.0);  // 1+3 summed at (1,2)
+}
+
+/// Reference CSR build: stable sort by (row, col), then sum duplicates
+/// left to right, i.e. in input order.
+Csr<double> reference_from_triplets(index_t rows, index_t cols,
+                                    std::vector<Triplet<double>> t) {
+  std::stable_sort(t.begin(), t.end(), [](const auto& a, const auto& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
+  std::vector<index_t> col_idx;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (i > 0 && t[i].row == t[i - 1].row && t[i].col == t[i - 1].col) {
+      values.back() += t[i].value;
+      continue;
+    }
+    ++row_ptr[static_cast<std::size_t>(t[i].row) + 1];
+    col_idx.push_back(t[i].col);
+    values.push_back(t[i].value);
+  }
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  return Csr<double>(rows, cols, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
+}
+
+bool bitwise_equal(const Csr<double>& a, const Csr<double>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() && a.nnz() == b.nnz() &&
+         std::memcmp(a.row_ptr().data(), b.row_ptr().data(),
+                     a.row_ptr().size_bytes()) == 0 &&
+         std::memcmp(a.col_idx().data(), b.col_idx().data(),
+                     a.col_idx().size_bytes()) == 0 &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size_bytes()) == 0;
+}
+
+TEST(CsrFromTriplets, MatchesStableSortReference) {
+  // Random unsorted triplets with duplicates drawn from a small column
+  // range, rows left empty at random, and every 50th matrix with no rows.
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const index_t rows = trial % 50 == 0 ? 0 : rng.uniform_int(1, 40);
+    const index_t cols = rng.uniform_int(1, 12);
+    const auto n = rows == 0 ? 0 : rng.uniform_int(0, 3 * rows);
+    std::vector<Triplet<double>> t;
+    for (index_t i = 0; i < n; ++i)
+      t.push_back({rng.uniform_int(0, rows - 1), rng.uniform_int(0, cols - 1),
+                   rng.uniform(-1e3, 1e3)});
+    const auto expect = reference_from_triplets(rows, cols, t);
+    const auto got = Csr<double>::from_triplets(rows, cols, t);
+    ASSERT_TRUE(bitwise_equal(got, expect)) << "trial " << trial;
+
+    // Canonical (sorted, duplicate-free) input comes back bit for bit.
+    std::vector<Triplet<double>> sorted;
+    for (index_t r = 0; r < got.rows(); ++r)
+      for (index_t p = got.row_ptr()[r]; p < got.row_ptr()[r + 1]; ++p)
+        sorted.push_back({r, got.col_idx()[p], got.values()[p]});
+    ASSERT_TRUE(bitwise_equal(Csr<double>::from_triplets(rows, cols, sorted),
+                              got))
+        << "trial " << trial;
+  }
 }
 
 TEST(Csr, RejectsOutOfRangeTriplets) {

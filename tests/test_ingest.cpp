@@ -11,6 +11,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,6 +134,84 @@ TEST(IngestSidecar, CorruptionSweepIsAlwaysDetected) {
   // Restore and confirm the good bytes still load.
   write_file(side, good);
   EXPECT_TRUE(csr_bitwise_equal(read_csr_binary(side), m));
+
+  // One bit flipped in every 8-byte word of row_ptr, col_idx and values
+  // of a small sidecar: the words land in all four hash lanes, and a
+  // change to any single word must always change the checksum.
+  GenSpec spec;
+  spec.family = MatrixFamily::kUniformRandom;
+  spec.rows = spec.cols = 48;
+  spec.seed = 5;
+  const Csr<double> small = generate(spec);
+  std::ostringstream out;
+  write_csr_binary(out, small);
+  const std::string small_good = out.str();
+  const std::size_t payload = small_good.find('\n') + 1;
+  const std::size_t words = (small_good.size() - payload) / 8;
+  ASSERT_EQ(words * 8, small_good.size() - payload);
+  ASSERT_EQ(words,
+            static_cast<std::size_t>(small.rows() + 1 + 2 * small.nnz()));
+  for (std::size_t w = 0; w < words; ++w) {
+    std::string bad = small_good;
+    const std::size_t bit = (w * 13) % 64;
+    char& byte = bad[payload + 8 * w + bit / 8];
+    byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+    std::istringstream in(bad);
+    try {
+      read_csr_binary(in);
+      ADD_FAILURE() << "flip in payload word " << w << " went undetected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kParse) << "word " << w;
+    }
+  }
+}
+
+TEST(IngestSidecar, HeaderReadIsBounded) {
+  // 16 MiB without a newline or a space: the envelope read stops at its
+  // bound and the file fails the magic check, with no giant token read.
+  const std::string junk(std::size_t{16} << 20, 'x');
+  const std::string path = "test_ingest_huge.tmp.spmvml-csr";
+  write_file(path, junk);
+  try {
+    read_csr_binary(path);
+    ADD_FAILURE() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kParse);
+  }
+  std::remove(path.c_str());
+
+  std::istringstream in(junk);
+  EXPECT_THROW(read_csr_binary(in), Error);
+  EXPECT_LE(in.rdbuf()->pubseekoff(0, std::ios::cur, std::ios::in), 257);
+}
+
+TEST(IngestSidecar, CacheFallsBackToTextOnOldVersion) {
+  // A version-1 envelope (the old FNV-1a checksum) is refused, and the
+  // cache serves the text parse instead.
+  TempMatrix file("test_ingest_v1.tmp.mtx", 17);
+  const Csr<double> expect = read_matrix_market(file.path);
+  const std::string side = csr_sidecar_path(file.path);
+  write_csr_binary(side, expect);
+  std::string v1 = read_file(side);
+  const std::string v2_prefix = std::string(kCsrBinaryMagic) + " 2 ";
+  ASSERT_EQ(v1.compare(0, v2_prefix.size(), v2_prefix), 0);
+  v1[v2_prefix.size() - 2] = '1';
+  write_file(side, v1);
+  try {
+    read_csr_binary(side);
+    ADD_FAILURE() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kParse);
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+
+  MatrixCache cache(64 << 20, /*shards=*/1);
+  const MatrixCache::View v = cache.load(file.path);
+  EXPECT_FALSE(v.sidecar);
+  EXPECT_TRUE(csr_bitwise_equal(*v.matrix, expect));
+  EXPECT_EQ(cache.stats().sidecar_loads, 0u);
+  EXPECT_EQ(cache.stats().parses, 1u);
 }
 
 TEST(IngestSidecar, CacheFallsBackToTextWhenSidecarCorrupt) {

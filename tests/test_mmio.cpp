@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sparse/mmio.hpp"
 #include "sparse/sell.hpp"
 #include "sparse/spmv.hpp"
@@ -75,6 +77,63 @@ TEST(Mmio, RoundTripPreservesMatrix) {
   std::istringstream in(out.str());
   const auto back = read_matrix_market(in);
   EXPECT_EQ(m, back);
+}
+
+TEST(Mmio, DuplicatesSumInFileOrder) {
+  // Summed in file order: (1e16 + 1.0) rounds to 1e16, minus 1e16 is 0.
+  // Any other order of the same three values gives 1.0.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 4\n"
+      "1 2 1e16\n"
+      "2 2 3.0\n"
+      "1 2 1.0\n"
+      "1 2 -1e16\n");
+  const auto m = read_matrix_market(in);
+  ASSERT_EQ(m.nnz(), 2);
+  EXPECT_EQ(m.col_idx()[0], 1);
+  EXPECT_EQ(m.values()[0], 0.0);
+  EXPECT_EQ(m.values()[1], 3.0);
+}
+
+TEST(Mmio, LinesLongerThanTheReadBufferParse) {
+  // A comment longer than the read buffer forces it to grow, and the
+  // entries after it still parse with the right line numbers.
+  const std::string long_comment = "%" + std::string(3 << 20, 'c') + "\n";
+  std::istringstream in("%%MatrixMarket matrix coordinate real general\n" +
+                        long_comment + "2 2 2\n1 1 1.5\n2 bogus 1.0\n");
+  try {
+    read_matrix_market(in);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Mmio, RoundTripAcrossBufferRefills) {
+  // Several MiB of entries: lines straddle every refill of the read
+  // buffer, and the parse must still reproduce the matrix exactly.
+  Rng rng(77);
+  std::vector<Triplet<double>> t;
+  for (int i = 0; i < 80000; ++i)
+    t.push_back({rng.uniform_int(0, 1999), rng.uniform_int(0, 1999),
+                 rng.uniform(-1.0, 1.0)});
+  const auto m = Csr<double>::from_triplets(2000, 2000, t);
+  std::ostringstream out;
+  write_matrix_market(out, m);
+  ASSERT_GT(out.str().size(), std::size_t{2} << 20);
+  std::istringstream in(out.str());
+  EXPECT_EQ(read_matrix_market(in), m);
+}
+
+TEST(Mmio, LastLineWithoutNewlineParses) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1 1 1\n"
+      "1 1 2.5");
+  const auto m = read_matrix_market(in);
+  EXPECT_EQ(m.values()[0], 2.5);
 }
 
 TEST(Mmio, RejectsMissingBanner) {

@@ -701,12 +701,35 @@ bool csr_bitwise_equal(const Csr<double>& a, const Csr<double>& b) {
                      a.values().size_bytes()) == 0;
 }
 
+/// Round-trip one Matrix Market text through text -> sidecar -> text and
+/// demand bitwise identity with the first parse at every step.
+void sidecar_self_test_one(const std::string& name, const std::string& text) {
+  const std::string mtx = "spmvml_sidecar_selftest.tmp." + name + ".mtx";
+  const std::string side = csr_sidecar_path(mtx);
+  {
+    std::ofstream out(mtx);
+    out << text;
+  }
+  const Csr<double> parsed = read_matrix_market(mtx);
+  write_csr_binary(side, parsed);
+  const Csr<double> binary = read_csr_binary(side);
+  write_matrix_market(mtx, binary);
+  const Csr<double> reparsed = read_matrix_market(mtx);
+  std::remove(mtx.c_str());
+  std::remove(side.c_str());
+  SPMVML_ENSURE_CAT(csr_bitwise_equal(parsed, binary) &&
+                        csr_bitwise_equal(parsed, reparsed),
+                    ErrorCategory::kIo,
+                    "sidecar self-test: text -> sidecar -> text differs from "
+                    "the first parse for " + name);
+}
+
 int cmd_sidecar(const Args& a) {
   if (a.options.count("self-test")) {
-    // Round-trip a few synthetic matrices through text -> sidecar ->
-    // reload and demand bitwise identity with the text parse. Wired into
+    // Round-trip synthetic matrices of a few families, plus hand-written
+    // files the generators never emit: a symmetric one (expanded on read)
+    // and one with duplicate entries (summed in file order). Wired into
     // tools/check.sh so a converter regression fails the tier-1 gate.
-    const std::string dir = "spmvml_sidecar_selftest.tmp";
     for (const MatrixFamily family :
          {MatrixFamily::kBanded, MatrixFamily::kPowerLaw,
           MatrixFamily::kUniformRandom}) {
@@ -714,20 +737,27 @@ int cmd_sidecar(const Args& a) {
       spec.family = family;
       spec.rows = spec.cols = 500;
       spec.seed = 7 + static_cast<std::uint64_t>(family);
-      const Csr<double> synth = generate(spec);
-      const std::string mtx = dir + "." + family_name(family) + ".mtx";
-      write_matrix_market(mtx, synth);
-      const Csr<double> text = read_matrix_market(mtx);
-      write_csr_binary(csr_sidecar_path(mtx), text);
-      const Csr<double> binary = read_csr_binary(csr_sidecar_path(mtx));
-      const bool same = csr_bitwise_equal(text, binary);
-      std::remove(mtx.c_str());
-      std::remove(csr_sidecar_path(mtx).c_str());
-      SPMVML_ENSURE_CAT(same, ErrorCategory::kIo,
-                        std::string("sidecar self-test: binary CSR differs "
-                                    "from the text parse for family ") +
-                            family_name(family));
+      std::ostringstream text;
+      write_matrix_market(text, generate(spec));
+      sidecar_self_test_one(family_name(family), text.str());
     }
+    sidecar_self_test_one("symmetric",
+                          "%%MatrixMarket matrix coordinate real symmetric\n"
+                          "4 4 5\n"
+                          "1 1 2.5\n"
+                          "2 1 -1.25\n"
+                          "3 2 0.1\n"
+                          "4 1 3\n"
+                          "4 4 1e-300\n");
+    sidecar_self_test_one("duplicates",
+                          "%%MatrixMarket matrix coordinate real general\n"
+                          "3 3 6\n"
+                          "1 2 1e16\n"
+                          "3 1 0.5\n"
+                          "1 2 1.0\n"
+                          "2 2 -0.0\n"
+                          "1 2 -1e16\n"
+                          "3 1 0.25\n");
     std::printf("sidecar self-test: ok\n");
     return 0;
   }
