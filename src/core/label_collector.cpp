@@ -9,8 +9,10 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -128,9 +130,10 @@ struct EntryStats {
     s.transient_cells += transient_cells;
     s.transient_retries += transient_retries;
 
-    // merge_into runs exactly once per plan entry on both the serial and
-    // the parallel path, so it doubles as the registry sink. A run that
-    // dies on an exception loses the unmerged tail — same as CollectStats.
+    // merge_into runs exactly once per plan entry, at assembly, on both
+    // the serial and the parallel path (a restored entry's stats are
+    // empty), so it doubles as the registry sink. A run that dies on an
+    // exception never assembles and merges nothing — same as CollectStats.
     CollectMetrics& m = collect_metrics();
     if (attempted && !dropped_prefilter) m.cells_measured.add(kCellsPerMatrix);
     if (oom_cells > 0) m.cells_failed_oom.add(oom_cells);
@@ -202,34 +205,105 @@ std::vector<MeasurementOracle> make_oracle_set(const CollectOptions& options) {
   return oracles;
 }
 
-/// Try to restore a checkpoint matching this plan. Returns the number of
-/// plan entries already processed (0 = start from scratch).
-std::size_t try_resume(const CorpusPlan& plan, const CollectOptions& options,
-                       LabeledCorpus& corpus) {
+/// One plan entry's outcome, kept in plan order. An entry is either
+/// restored from the checkpoint (its stats stay empty) or run here.
+struct EntrySlot {
+  MatrixRecord rec;
+  bool kept = false;  // rec belongs in the corpus
+  bool done = false;  // restored, or finished in this run
+  EntryStats stats;
+};
+
+/// Restore a checkpoint matching this plan into `slots` and return the
+/// number of restored records. A checkpoint is the *set* of finished
+/// records: each row marks done the one plan entry whose GenSpec seed it
+/// carries, in whatever order the entries finished. A row whose seed
+/// matches no entry, more than one, or an entry another row already took
+/// makes the checkpoint stale, and the run starts from scratch. Entries
+/// dropped before the checkpoint left no row, so they run again: that
+/// costs time, not identity.
+std::size_t restore_checkpoint(const CorpusPlan& plan,
+                               const CollectOptions& options,
+                               std::vector<EntrySlot>& slots) {
   if (options.checkpoint_path.empty() ||
       !std::filesystem::exists(options.checkpoint_path))
     return 0;
+  LabeledCorpus cached;
   try {
     std::size_t cached_plan = 0, cached_done = 0;
     std::uint64_t cached_hash = 0;
-    LabeledCorpus cached = load_corpus_csv(options.checkpoint_path,
-                                           &cached_plan, &cached_hash,
-                                           &cached_done);
-    if (cached_plan == plan.size() && cached_hash == plan_fingerprint(plan) &&
-        cached_done <= plan.size() && cached.size() <= cached_done) {
-      corpus.records = std::move(cached.records);
-      corpus.stats.resumed_records = corpus.records.size();
-      collect_metrics().resumed_records.add(corpus.records.size());
-      obs::log_info("collect.resume")
-          .kv("checkpoint", options.checkpoint_path)
-          .kv("records", corpus.records.size())
-          .kv("done", cached_done);
-      return cached_done;
-    }
+    cached = load_corpus_csv(options.checkpoint_path, &cached_plan,
+                             &cached_hash, &cached_done);
+    if (cached_plan != plan.size() || cached_hash != plan_fingerprint(plan) ||
+        cached_done > plan.size() || cached.size() > cached_done)
+      return 0;
   } catch (const Error&) {
-    // Corrupt or stale checkpoint: re-collect from scratch.
+    return 0;  // corrupt or stale checkpoint: re-collect from scratch
   }
-  return 0;
+  constexpr std::size_t kAmbiguous = std::numeric_limits<std::size_t>::max();
+  std::unordered_map<std::uint64_t, std::size_t> entry_of_seed;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const auto [it, fresh] = entry_of_seed.emplace(plan.specs[i].seed, i);
+    if (!fresh) it->second = kAmbiguous;
+  }
+  for (const MatrixRecord& rec : cached.records) {
+    const auto it = entry_of_seed.find(rec.seed);
+    if (it == entry_of_seed.end() || it->second == kAmbiguous ||
+        slots[it->second].done) {
+      std::fill(slots.begin(), slots.end(), EntrySlot{});
+      return 0;
+    }
+    EntrySlot& slot = slots[it->second];
+    slot.rec = rec;
+    slot.kept = slot.done = true;
+  }
+  collect_metrics().resumed_records.add(cached.size());
+  obs::log_info("collect.resume")
+      .kv("checkpoint", options.checkpoint_path)
+      .kv("records", cached.size());
+  return cached.size();
+}
+
+/// True when finishing the `completed`-th entry of this run is due a
+/// checkpoint.
+bool checkpoint_due(const CollectOptions& options, std::size_t completed) {
+  return !options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
+         completed % options.checkpoint_every == 0;
+}
+
+/// The checkpoint image: every done entry's record, in plan order.
+LabeledCorpus checkpoint_records(const std::vector<EntrySlot>& slots) {
+  LabeledCorpus snapshot;
+  for (const EntrySlot& slot : slots)
+    if (slot.done && slot.kept) snapshot.records.push_back(slot.rec);
+  return snapshot;
+}
+
+void write_checkpoint(const CollectOptions& options, const CorpusPlan& plan,
+                      std::uint64_t fingerprint, const LabeledCorpus& snapshot,
+                      std::size_t done) {
+  save_corpus_csv(options.checkpoint_path, snapshot, plan.size(), fingerprint,
+                  done);
+  collect_metrics().checkpoints.inc();
+  obs::trace_instant("collect.checkpoint");
+  obs::log_debug("collect.checkpoint")
+      .kv("done", done)
+      .kv("records", snapshot.records.size());
+}
+
+/// Records and stats merge in plan order, never in completion order, so
+/// the corpus is the same for every thread count and checkpoint history.
+LabeledCorpus assemble_corpus(std::vector<EntrySlot>& slots,
+                              std::size_t restored) {
+  LabeledCorpus corpus;
+  corpus.records.reserve(slots.size());
+  corpus.stats.resumed_records = restored;
+  for (EntrySlot& slot : slots) {
+    slot.stats.merge_into(corpus.stats);
+    if (slot.kept) corpus.records.push_back(slot.rec);
+  }
+  corpus.stats.kept = corpus.records.size();
+  return corpus;
 }
 
 /// Fill the spec-derived part of a record (everything except timings).
@@ -237,8 +311,9 @@ std::size_t try_resume(const CorpusPlan& plan, const CollectOptions& options,
 bool prepare_record(const GenSpec& spec, int bucket,
                     const CollectOptions& options, MatrixRecord& rec,
                     RowSummary& summary, EntryStats& stats) {
-  const Csr<double> matrix = generate(spec);
-  summary = summarize(matrix);
+  // Labels read the sparsity pattern alone: no value array is drawn.
+  const CsrPattern pattern = generate_pattern(spec);
+  summary = summarize(pattern);
   stats.attempted = true;
   if (prefilter_drops(summary, options)) {
     stats.dropped_prefilter = true;
@@ -247,81 +322,66 @@ bool prepare_record(const GenSpec& spec, int bucket,
   rec.seed = spec.seed;
   rec.bucket = bucket;
   rec.family = static_cast<int>(spec.family);
-  rec.rows = static_cast<double>(matrix.rows());
-  rec.cols = static_cast<double>(matrix.cols());
-  rec.nnz = static_cast<double>(matrix.nnz());
-  rec.features = extract_features(matrix);
+  rec.rows = static_cast<double>(pattern.rows);
+  rec.cols = static_cast<double>(pattern.cols);
+  rec.nnz = static_cast<double>(pattern.col_idx.size());
+  rec.features = extract_features(pattern);
   return true;
 }
 
 LabeledCorpus collect_corpus_serial(const CorpusPlan& plan,
                                     const CollectOptions& options) {
-  LabeledCorpus corpus;
-  corpus.records.reserve(plan.size());
-  CollectStats& stats = corpus.stats;
-
   const std::uint64_t fingerprint = plan_fingerprint(plan);
-  const std::size_t start = try_resume(plan, options, corpus);
+  std::vector<EntrySlot> slots(plan.size());
+  const std::size_t restored = restore_checkpoint(plan, options, slots);
+  std::size_t done = restored, completed = 0;
 
   // One oracle per (arch, precision); they share the cost parameters.
   const std::vector<MeasurementOracle> oracles = make_oracle_set(options);
 
-  for (std::size_t m = start; m < plan.size(); ++m) {
+  for (std::size_t m = 0; m < plan.size(); ++m) {
+    EntrySlot& slot = slots[m];
+    if (slot.done) continue;
     obs::TraceSpan mspan("collect.matrix");
     mspan.arg("index", static_cast<std::uint64_t>(m))
         .arg("seed", plan.specs[m].seed);
-    MatrixRecord rec;
     RowSummary summary;
-    EntryStats entry;
-    const bool keep_measuring = prepare_record(
-        plan.specs[m], plan.bucket_of[m], options, rec, summary, entry);
-    if (!keep_measuring) {
-      entry.merge_into(stats);
-      if (options.progress) options.progress(m + 1, plan.size());
-      continue;
-    }
-
-    std::size_t valid_cells = 0;
-    for (int a = 0; a < kNumArchs; ++a) {
-      for (int p = 0; p < kNumPrecisions; ++p) {
-        const auto& oracle =
-            oracles[static_cast<std::size_t>(a * kNumPrecisions + p)];
-        for (int f = 0; f < kNumFormats; ++f) {
-          const Measurement cell =
-              measure_with_retry(oracle, summary, static_cast<Format>(f),
-                                 rec.seed, options, entry);
-          rec.seconds[static_cast<std::size_t>(a)][static_cast<std::size_t>(p)]
-                     [static_cast<std::size_t>(f)] = cell.seconds;
-          if (cell.ok())
-            ++valid_cells;
-          else
-            count_failed_cell(cell.status, entry);
+    EntryStats& entry = slot.stats;
+    if (prepare_record(plan.specs[m], plan.bucket_of[m], options, slot.rec,
+                       summary, entry)) {
+      std::size_t valid_cells = 0;
+      for (int a = 0; a < kNumArchs; ++a) {
+        for (int p = 0; p < kNumPrecisions; ++p) {
+          const auto& oracle =
+              oracles[static_cast<std::size_t>(a * kNumPrecisions + p)];
+          for (int f = 0; f < kNumFormats; ++f) {
+            const Measurement cell =
+                measure_with_retry(oracle, summary, static_cast<Format>(f),
+                                   slot.rec.seed, options, entry);
+            slot.rec.seconds[static_cast<std::size_t>(a)]
+                            [static_cast<std::size_t>(p)]
+                            [static_cast<std::size_t>(f)] = cell.seconds;
+            if (cell.ok())
+              ++valid_cells;
+            else
+              count_failed_cell(cell.status, entry);
+          }
         }
       }
+      // A matrix is only dropped wholesale when *every* cell failed —
+      // there is nothing to learn from it.
+      entry.dropped_all_failed = valid_cells == 0;
+      slot.kept = valid_cells > 0;
     }
-
-    // A matrix is only dropped wholesale when *every* cell failed — there
-    // is nothing to learn from it.
-    if (valid_cells == 0)
-      entry.dropped_all_failed = true;
-    else
-      corpus.records.push_back(rec);
-    entry.merge_into(stats);
-
-    if (!options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
-        (m + 1 - start) % options.checkpoint_every == 0 &&
-        m + 1 < plan.size()) {
-      save_corpus_csv(options.checkpoint_path, corpus, plan.size(),
-                      fingerprint, m + 1);
-      collect_metrics().checkpoints.inc();
-      obs::trace_instant("collect.checkpoint");
-      obs::log_debug("collect.checkpoint")
-          .kv("done", m + 1)
-          .kv("records", corpus.records.size());
-    }
-    if (options.progress) options.progress(m + 1, plan.size());
+    slot.done = true;
+    ++done;
+    ++completed;
+    if (checkpoint_due(options, completed) && done < plan.size())
+      write_checkpoint(options, plan, fingerprint, checkpoint_records(slots),
+                       done);
+    if (options.progress) options.progress(done, plan.size());
   }
-  stats.kept = corpus.records.size();
+  LabeledCorpus corpus = assemble_corpus(slots, restored);
   if (!options.checkpoint_path.empty())
     save_corpus_csv(options.checkpoint_path, corpus, plan.size(), fingerprint,
                     plan.size());
@@ -331,20 +391,17 @@ LabeledCorpus collect_corpus_serial(const CorpusPlan& plan,
 // ---------------------------------------------------------------------------
 // Parallel collection.
 //
-// Each plan entry is one resumable task: generate → summarize →
-// extract_features → measure all cells. When a cell needs transient-retry
-// backoff the task snapshots its position (cell index + attempt) and
-// requeues itself on the pool with a deadline instead of sleeping, so the
-// worker immediately moves on to another matrix. Finished entries land in
-// a plan-indexed slot array; the assembled corpus is therefore bitwise
-// identical to the serial run for any thread count. Checkpoints cover the
-// longest fully-complete prefix in plan order.
-
-struct EntrySlot {
-  MatrixRecord rec;
-  bool kept = false;
-  EntryStats stats;
-};
+// Each plan entry is one resumable task: generate the pattern → summarize
+// → extract_features → measure all cells. Tasks are submitted largest
+// first (largest_first(plan)), so the matrices that bound the run's
+// critical path start at once instead of last. When a cell needs
+// transient-retry backoff the task snapshots its position (cell index +
+// attempt) and requeues itself on the pool with a deadline instead of
+// sleeping, so the worker immediately moves on to another matrix.
+// Finished entries land in plan-indexed slots; the assembled corpus is
+// therefore bitwise identical to the serial run for any thread count.
+// Checkpoints hold the set of finished records, snapshotted under the
+// lock and written outside it.
 
 struct MatrixTask {
   std::size_t index = 0;
@@ -358,11 +415,18 @@ struct MatrixTask {
   EntryStats stats;
 };
 
+/// A checkpoint image taken under ParallelCollectContext::mu. `done`
+/// strictly increases from one image to the next, so it also keeps an
+/// older image from overwriting a newer one on disk.
+struct CheckpointSnapshot {
+  LabeledCorpus records;
+  std::size_t done = 0;
+};
+
 struct ParallelCollectContext {
   const CorpusPlan& plan;
   const CollectOptions& options;
   std::uint64_t fingerprint = 0;
-  std::size_t start = 0;
 
   ThreadPool pool;
   // One oracle set per worker: task state never shares oracle storage
@@ -371,13 +435,14 @@ struct ParallelCollectContext {
 
   std::mutex mu;
   std::vector<EntrySlot> slots;
-  std::vector<char> entry_done;
-  std::size_t prefix = 0;           // first plan index not yet complete
-  std::size_t last_checkpoint = 0;  // prefix at the last checkpoint write
-  std::size_t completed = 0;        // finished entries (progress reporting)
-  const std::vector<MatrixRecord>* resumed_records = nullptr;
+  std::size_t done = 0;       // done slots: restored + finished here
+  std::size_t completed = 0;  // entries finished in this run
   std::exception_ptr error;
   bool cancelled = false;
+
+  // Checkpoint files are written outside `mu`, one at a time.
+  std::mutex write_mu;
+  std::size_t written_done = 0;  // newest image on disk; under write_mu
 
   ParallelCollectContext(const CorpusPlan& p, const CollectOptions& o,
                          int threads)
@@ -387,53 +452,51 @@ struct ParallelCollectContext {
   }
 };
 
-/// Snapshot the longest complete prefix into a checkpoint file. Caller
-/// holds ctx.mu.
-void write_prefix_checkpoint(ParallelCollectContext& ctx, std::size_t done) {
-  LabeledCorpus snapshot;
-  snapshot.records.reserve(ctx.resumed_records->size() + done - ctx.start);
-  snapshot.records = *ctx.resumed_records;
-  for (std::size_t i = ctx.start; i < done; ++i)
-    if (ctx.slots[i].kept) snapshot.records.push_back(ctx.slots[i].rec);
-  save_corpus_csv(ctx.options.checkpoint_path, snapshot, ctx.plan.size(),
-                  ctx.fingerprint, done);
-  collect_metrics().checkpoints.inc();
-  obs::trace_instant("collect.checkpoint");
-  obs::log_debug("collect.checkpoint")
-      .kv("done", done)
-      .kv("records", snapshot.records.size());
+/// Caller holds ctx.mu (or the pool is idle).
+CheckpointSnapshot take_snapshot(ParallelCollectContext& ctx) {
+  return {checkpoint_records(ctx.slots), ctx.done};
+}
+
+/// Called without ctx.mu, so other workers keep finishing entries while
+/// the file is written.
+void write_snapshot(ParallelCollectContext& ctx,
+                    const CheckpointSnapshot& snapshot) {
+  std::lock_guard<std::mutex> lock(ctx.write_mu);
+  if (snapshot.done <= ctx.written_done) return;  // already on disk, or newer
+  write_checkpoint(ctx.options, ctx.plan, ctx.fingerprint, snapshot.records,
+                   snapshot.done);
+  ctx.written_done = snapshot.done;
 }
 
 void finish_entry(ParallelCollectContext& ctx, const MatrixTask& task) {
-  std::lock_guard<std::mutex> lock(ctx.mu);
-  EntrySlot& slot = ctx.slots[task.index];
-  slot.kept = task.prepared && !task.dropped && task.valid_cells > 0;
-  if (slot.kept) slot.rec = task.rec;
-  slot.stats = task.stats;
-  ctx.entry_done[task.index] = 1;
-  ++ctx.completed;
+  std::optional<CheckpointSnapshot> snapshot;
+  {
+    std::lock_guard<std::mutex> lock(ctx.mu);
+    EntrySlot& slot = ctx.slots[task.index];
+    slot.kept = task.prepared && !task.dropped && task.valid_cells > 0;
+    if (slot.kept) slot.rec = task.rec;
+    slot.stats = task.stats;
+    slot.done = true;
+    ++ctx.done;
+    ++ctx.completed;
 
-  while (ctx.prefix < ctx.plan.size() && ctx.entry_done[ctx.prefix])
-    ++ctx.prefix;
-  if (ctx.cancelled) return;  // draining after a failure: stay quiet
-  const CollectOptions& opt = ctx.options;
-  try {
-    if (!opt.checkpoint_path.empty() && opt.checkpoint_every > 0 &&
-        ctx.prefix < ctx.plan.size() && ctx.prefix > ctx.last_checkpoint &&
-        (ctx.prefix - ctx.start) / opt.checkpoint_every >
-            (ctx.last_checkpoint - ctx.start) / opt.checkpoint_every) {
-      ctx.last_checkpoint = ctx.prefix;
-      write_prefix_checkpoint(ctx, ctx.prefix);
+    if (ctx.cancelled) return;  // draining after a failure: stay quiet
+    const CollectOptions& opt = ctx.options;
+    try {
+      if (checkpoint_due(opt, ctx.completed) && ctx.done < ctx.plan.size())
+        snapshot = take_snapshot(ctx);
+      // Serialized under the lock, so `done` is monotonic exactly like
+      // the serial path's.
+      if (opt.progress) opt.progress(ctx.done, ctx.plan.size());
+    } catch (...) {
+      // Cancel before the lock drops: otherwise another worker could
+      // finish an entry and report progress before run_matrix_task's
+      // handler runs.
+      ctx.cancelled = true;
+      throw;
     }
-    // Serialized under the lock; `done` is monotonic exactly like the
-    // serial path's (m + 1).
-    if (opt.progress) opt.progress(ctx.start + ctx.completed, ctx.plan.size());
-  } catch (...) {
-    // Cancel before the lock drops: otherwise another worker could finish
-    // an entry and report progress before run_matrix_task's handler runs.
-    ctx.cancelled = true;
-    throw;
   }
+  if (snapshot) write_snapshot(ctx, *snapshot);
 }
 
 void run_matrix_task(ParallelCollectContext& ctx,
@@ -443,7 +506,7 @@ void run_matrix_task(ParallelCollectContext& ctx,
       std::lock_guard<std::mutex> lock(ctx.mu);
       // After a failure, never-started entries drain as no-ops, but
       // entries with partial progress (including ones parked in backoff)
-      // run to completion so the longest-prefix checkpoint is maximal.
+      // run to completion so the final checkpoint keeps their work.
       if (ctx.cancelled && !task->prepared) return;
     }
     // One span per task *segment*: a matrix parked for backoff shows as
@@ -517,45 +580,31 @@ void run_matrix_task(ParallelCollectContext& ctx,
 LabeledCorpus collect_corpus_parallel(const CorpusPlan& plan,
                                       const CollectOptions& options,
                                       int threads) {
-  LabeledCorpus corpus;
-  corpus.records.reserve(plan.size());
-
   ParallelCollectContext ctx(plan, options, threads);
   ctx.fingerprint = plan_fingerprint(plan);
-  ctx.start = try_resume(plan, options, corpus);
-  ctx.resumed_records = &corpus.records;
   ctx.slots.resize(plan.size());
-  ctx.entry_done.assign(plan.size(), 0);
-  // Entries restored from the checkpoint count as complete.
-  for (std::size_t i = 0; i < ctx.start; ++i) ctx.entry_done[i] = 1;
-  ctx.prefix = ctx.start;
-  ctx.last_checkpoint = ctx.start;
+  const std::size_t restored = restore_checkpoint(plan, options, ctx.slots);
+  ctx.done = restored;
 
-  for (std::size_t m = ctx.start; m < plan.size(); ++m) {
+  for (const std::size_t m : largest_first(plan)) {
+    if (ctx.slots[m].done) continue;
     auto task = std::make_shared<MatrixTask>();
     task->index = m;
     ctx.pool.submit([&ctx, task] { run_matrix_task(ctx, task); });
   }
   ctx.pool.wait_idle();
   if (ctx.error) {
-    // A "killed" run still leaves the longest fully-complete prefix on
-    // disk, so the next invocation resumes instead of starting over.
-    // In-flight tasks kept finishing after the failure (only queued work
-    // is drained), so ctx.prefix reflects everything completed.
-    if (!options.checkpoint_path.empty() && ctx.prefix > ctx.start)
-      write_prefix_checkpoint(ctx, ctx.prefix);
+    // A "killed" run still leaves every finished record on disk, so the
+    // next invocation resumes instead of starting over. In-flight tasks
+    // kept finishing after the failure (only queued work is drained), so
+    // this image holds everything completed. The pool is idle, so taking
+    // it needs no lock.
+    if (!options.checkpoint_path.empty() && ctx.completed > 0)
+      write_snapshot(ctx, take_snapshot(ctx));
     std::rethrow_exception(ctx.error);
   }
 
-  // Deterministic assembly: records and stats merge in plan order, never
-  // in completion order.
-  CollectStats& stats = corpus.stats;
-  for (std::size_t i = ctx.start; i < plan.size(); ++i) {
-    const EntrySlot& slot = ctx.slots[i];
-    slot.stats.merge_into(stats);
-    if (slot.kept) corpus.records.push_back(slot.rec);
-  }
-  stats.kept = corpus.records.size();
+  LabeledCorpus corpus = assemble_corpus(ctx.slots, restored);
   if (!options.checkpoint_path.empty())
     save_corpus_csv(options.checkpoint_path, corpus, plan.size(),
                     ctx.fingerprint, plan.size());

@@ -4,7 +4,9 @@
 //
 // Matrices are generated, scanned and discarded one at a time (the full
 // corpus would not fit in memory), and the result can be cached to CSV so
-// every bench after the first starts instantly.
+// every bench after the first starts instantly. Labels read only the
+// sparsity pattern, so collection generates the pattern alone
+// (generate_pattern) and never draws a value array.
 //
 // Fault tolerance: with fault injection enabled (CollectOptions::faults)
 // individual (arch, precision, format) cells can fail — OOM, timeout, or
@@ -12,18 +14,22 @@
 // backoff; cells that stay failed are recorded as NaN (a validity mask)
 // instead of dropping the whole matrix, reproducing the paper's §IV-C
 // exclusion as a *policy* rather than a hard-coded filter. Collection can
-// checkpoint to the cache file every N matrices, so a killed run resumes
-// where it left off without re-measuring completed matrices.
+// checkpoint to the cache file every N finished matrices, so a killed run
+// resumes without re-measuring completed matrices. A checkpoint is the
+// *set* of finished records; resume matches each row to the plan entry
+// with its GenSpec seed, and a row matching no entry or several makes the
+// checkpoint stale.
 //
 // Parallelism: with CollectOptions::threads > 1 (or SPMVML_THREADS set)
-// plan entries are processed concurrently by a shared thread pool. Every
-// record is a pure function of its GenSpec, so results are assembled into
-// a plan-indexed slot array and the returned corpus — and any CSV written
-// from it — is bitwise identical to the serial run for every thread
-// count. Checkpoints always cover the longest fully-complete *prefix* in
-// plan order, so resume semantics are unchanged. Transient-retry backoff
-// is a deadline-based requeue on the pool: a waiting matrix never stalls
-// a worker.
+// plan entries are processed concurrently by a shared thread pool,
+// largest estimated nnz first (largest_first), so the matrices that set
+// the critical path start at once. Every record is a pure function of its
+// GenSpec, so results are assembled into a plan-indexed slot array and
+// the returned corpus — and any CSV written from it — is bitwise
+// identical to the serial run for every thread count. Entries finish out
+// of plan order, which is why checkpoints are sets, not prefixes.
+// Transient-retry backoff is a deadline-based requeue on the pool: a
+// waiting matrix never stalls a worker.
 #pragma once
 
 #include <array>
@@ -124,9 +130,9 @@ struct CollectOptions {
   /// and the retry accounting still happens, which is what tests want.
   double backoff_base_s = 0.0;
   double backoff_cap_s = 1.0;
-  /// When non-empty, collection checkpoints the partial corpus here every
-  /// `checkpoint_every` matrices and resumes from it on restart (plan
-  /// fingerprint must match).
+  /// When non-empty, collection checkpoints the finished records here
+  /// each time this run finishes another `checkpoint_every` matrices, and
+  /// resumes from them on restart (plan fingerprint must match).
   std::string checkpoint_path;
   std::size_t checkpoint_every = 25;
   /// Called after each matrix with (done, total); pass {} to disable.
@@ -152,7 +158,8 @@ LabeledCorpus collect_corpus(const CorpusPlan& plan,
 /// the generating plan had (collection may keep fewer after the §IV-C
 /// exclusion); `plan_hash` is the plan fingerprint; `done` is how many
 /// plan entries have been processed (== plan_size for a complete corpus,
-/// less for a checkpoint). Failed cells round-trip as NaN. The loader can
+/// less for a checkpoint, whose records are the finished subset in plan
+/// order). Failed cells round-trip as NaN. The loader can
 /// return the header fields via the out-parameters.
 void save_corpus_csv(const std::string& path, const LabeledCorpus& corpus,
                      std::size_t plan_size, std::uint64_t plan_hash,

@@ -36,7 +36,7 @@ struct StructureStats {
 
 /// Accumulate one CSR row: its length plus the contiguous-run structure
 /// of its column indices.
-inline void scan_row(const Csr<double>& m, index_t r, StructureStats& s) {
+inline void scan_row(const CsrPatternView& m, index_t r, StructureStats& s) {
   const index_t begin = m.row_ptr()[r], end = m.row_ptr()[r + 1];
   s.row_len.add(static_cast<double>(end - begin));
   if (begin == end) {
@@ -66,7 +66,7 @@ constexpr index_t kFeatureRowBlock = 4096;
 
 /// Scan all rows block-by-block, in parallel when the matrix is big
 /// enough, merging block accumulators in row order.
-StructureStats scan_structure(const Csr<double>& m) {
+StructureStats scan_structure(CsrPatternView m) {
   const index_t rows = m.rows();
   StructureStats total;
   if (rows <= kFeatureRowBlock) {
@@ -92,7 +92,7 @@ StructureStats scan_structure(const Csr<double>& m) {
 /// batch path) — there is no wait-for-the-pool deadlock, only a graceful
 /// degradation to the caller scanning alone. Accumulators merge in block
 /// order, so the result is byte-identical to the serial scan.
-StructureStats scan_structure_pool(const Csr<double>& m, ThreadPool& pool) {
+StructureStats scan_structure_pool(CsrPatternView m, ThreadPool& pool) {
   const index_t rows = m.rows();
   StructureStats total;
   if (rows <= kFeatureRowBlock) {
@@ -213,7 +213,7 @@ namespace {
 /// Assemble the 17-feature vector from the structure scan; shared by the
 /// serial/OpenMP and thread-pool extraction routes so both are the same
 /// arithmetic on the same accumulators.
-FeatureVector assemble_features(const Csr<double>& m,
+FeatureVector assemble_features(CsrPatternView m,
                                 const StructureStats& scan) {
   FeatureVector f;
   const index_t rows = m.rows(), cols = m.cols(), nnz = m.nnz();
@@ -249,7 +249,7 @@ FeatureVector assemble_features(const Csr<double>& m,
   return f;
 }
 
-void count_extraction(const Csr<double>& m, obs::TraceSpan& span) {
+void count_extraction(CsrPatternView m, obs::TraceSpan& span) {
   span.arg("rows", static_cast<std::int64_t>(m.rows()))
       .arg("nnz", static_cast<std::int64_t>(m.nnz()));
   static obs::Counter extracted =
@@ -259,20 +259,20 @@ void count_extraction(const Csr<double>& m, obs::TraceSpan& span) {
 
 }  // namespace
 
-FeatureVector extract_features(const Csr<double>& m) {
+FeatureVector extract_features(CsrPatternView m) {
   obs::TraceSpan span("features.extract");
   count_extraction(m, span);
   return assemble_features(m, scan_structure(m));
 }
 
-FeatureVector extract_features(const Csr<double>& m, ThreadPool* pool) {
+FeatureVector extract_features(CsrPatternView m, ThreadPool* pool) {
   if (pool == nullptr || pool->size() <= 1) return extract_features(m);
   obs::TraceSpan span("features.extract_pool");
   count_extraction(m, span);
   return assemble_features(m, scan_structure_pool(m, *pool));
 }
 
-FeatureVector extract_features_sampled(const Csr<double>& m,
+FeatureVector extract_features_sampled(CsrPatternView m,
                                        double row_fraction,
                                        std::uint64_t seed) {
   SPMVML_ENSURE(row_fraction > 0.0, "row_fraction must be positive");

@@ -69,8 +69,8 @@ struct FeatureVector {
   std::vector<double> select(std::span<const int> indices) const;
 };
 
-/// One O(nnz) scan over the CSR structure.
-FeatureVector extract_features(const Csr<double>& m);
+/// One O(nnz) scan over the CSR structure (values are never read).
+FeatureVector extract_features(CsrPatternView m);
 
 /// Blocked-parallel extraction on a shared thread pool: the fixed
 /// 4096-row block partition is scanned cooperatively (pool workers help,
@@ -80,7 +80,7 @@ FeatureVector extract_features(const Csr<double>& m);
 /// byte-identical to extract_features(m) at any pool size, including
 /// when the caller is itself a pool worker (the serving batch path).
 /// pool == nullptr degrades to extract_features(m).
-FeatureVector extract_features(const Csr<double>& m, ThreadPool* pool);
+FeatureVector extract_features(CsrPatternView m, ThreadPool* pool);
 
 /// Approximate extraction from a random row sample (O(nnz * fraction)):
 /// set-1 features stay exact (they are O(1) from CSR metadata); set-2/3
@@ -88,7 +88,7 @@ FeatureVector extract_features(const Csr<double>& m, ThreadPool* pool);
 /// totals are rescaled. Deterministic in `seed`. fraction >= 1 degrades
 /// to the exact scan. The accuracy/cost trade-off is the deployment
 /// concern behind the paper's O(1)-vs-O(nnz) feature-set split (§IV-A).
-FeatureVector extract_features_sampled(const Csr<double>& m,
+FeatureVector extract_features_sampled(CsrPatternView m,
                                        double row_fraction,
                                        std::uint64_t seed = 1);
 

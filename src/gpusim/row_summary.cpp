@@ -9,7 +9,7 @@
 
 namespace spmvml {
 
-RowSummary summarize(const Csr<double>& m) {
+RowSummary summarize(CsrPatternView m) {
   RowSummary s;
   s.rows = m.rows();
   s.cols = m.cols();

@@ -72,7 +72,7 @@ struct RowSummary {
   double row_cv() const { return row_mu > 0.0 ? row_sigma / row_mu : 0.0; }
 };
 
-/// One-pass digest of `m`.
-RowSummary summarize(const Csr<double>& m);
+/// One-pass digest of `m`'s sparsity pattern.
+RowSummary summarize(CsrPatternView m);
 
 }  // namespace spmvml

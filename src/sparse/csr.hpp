@@ -16,6 +16,39 @@ namespace spmvml {
 template <typename ValueT>
 class Coo;  // forward declaration; defined in sparse/coo.hpp
 
+/// Read-only view of a CSR sparsity pattern: row pointers and column
+/// indices, no values. Structure-only consumers (feature extraction, the
+/// gpusim digest) take this, so label collection never materializes a
+/// value array. Every Csr converts to it implicitly.
+class CsrPatternView {
+ public:
+  CsrPatternView(index_t rows, index_t cols, std::span<const index_t> row_ptr,
+                 std::span<const index_t> col_idx)
+      : rows_(rows), cols_(cols), row_ptr_(row_ptr), col_idx_(col_idx) {}
+
+  index_t rows() const { return rows_; }
+  index_t cols() const { return cols_; }
+  index_t nnz() const { return static_cast<index_t>(col_idx_.size()); }
+  std::span<const index_t> row_ptr() const { return row_ptr_; }
+  std::span<const index_t> col_idx() const { return col_idx_; }
+
+ private:
+  index_t rows_;
+  index_t cols_;
+  std::span<const index_t> row_ptr_;
+  std::span<const index_t> col_idx_;
+};
+
+/// An owned sparsity pattern (what a generator draws before any value).
+struct CsrPattern {
+  index_t rows = 0;
+  index_t cols = 0;
+  std::vector<index_t> row_ptr = {0};
+  std::vector<index_t> col_idx;
+
+  operator CsrPatternView() const { return {rows, cols, row_ptr, col_idx}; }
+};
+
 /// CSR sparse matrix: row_ptr (rows+1), col_idx and values (nnz each),
 /// entries of a row stored contiguously with strictly increasing columns.
 template <typename ValueT>
@@ -45,6 +78,11 @@ class Csr {
   std::span<const index_t> col_idx() const { return col_idx_; }
   std::span<const ValueT> values() const { return values_; }
   std::span<ValueT> values_mut() { return values_; }
+
+  /// The sparsity pattern. Implicit, so structure-only APIs take a Csr.
+  operator CsrPatternView() const {
+    return {rows_, cols_, row_ptr_, col_idx_};
+  }
 
   /// Number of stored entries in row i.
   index_t row_nnz(index_t i) const { return row_ptr_[i + 1] - row_ptr_[i]; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -106,6 +107,19 @@ CorpusPlan make_small_plan(int n, std::uint64_t seed) {
     plan.bucket_of.push_back(static_cast<int>(b));
   }
   return plan;
+}
+
+std::vector<std::size_t> largest_first(const CorpusPlan& plan) {
+  const auto estimated_nnz = [&plan](std::size_t i) {
+    return static_cast<double>(plan.specs[i].rows) * plan.specs[i].row_mu;
+  };
+  std::vector<std::size_t> order(plan.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return estimated_nnz(a) > estimated_nnz(b);
+                   });
+  return order;
 }
 
 std::uint64_t plan_fingerprint(const CorpusPlan& plan) {

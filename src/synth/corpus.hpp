@@ -57,6 +57,12 @@ CorpusPlan make_corpus_plan(double scale, std::uint64_t seed);
 /// unit tests and smoke benches.
 CorpusPlan make_small_plan(int n, std::uint64_t seed);
 
+/// Plan indices by descending estimated nnz (rows x row_mu), ties in plan
+/// order: a pure function of the plan. Parallel label collection submits
+/// in this order so the largest matrices, which bound the run's critical
+/// path, start first rather than last.
+std::vector<std::size_t> largest_first(const CorpusPlan& plan);
+
 /// Content hash over every GenSpec and bucket assignment in the plan.
 /// Two plans with the same size but different scale/seed/bucket mix get
 /// different fingerprints — label caches carry this so a stale cache from

@@ -11,16 +11,94 @@
 namespace spmvml {
 namespace {
 
+/// Rows (and buckets) up to this length are insertion-sorted outright.
+constexpr std::size_t kInsertionSortMax = 16;
+
+void insertion_sort(index_t* a, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const index_t x = a[i];
+    std::size_t j = i;
+    for (; j > 0 && a[j - 1] > x; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+}
+
+}  // namespace
+
+void RowSorter::operator()(std::span<index_t> cols) {
+  const std::size_t n = cols.size();
+  if (n <= kInsertionSortMax) {
+    insertion_sort(cols.data(), n);
+    return;
+  }
+  const auto [min_it, max_it] = std::minmax_element(cols.begin(), cols.end());
+  const index_t lo = *min_it;
+  const auto span = static_cast<std::uint64_t>(*max_it - lo) + 1;
+  // bucket(c) = floor((c - lo) * n / span) in 64.64 fixed point: monotone
+  // in c and below n, without a division per element. A span no wider
+  // than the row gets (almost) one bucket per column.
+  const std::uint64_t scale =
+      span <= n ? ~std::uint64_t{0}
+                : static_cast<std::uint64_t>(
+                      (static_cast<unsigned __int128>(n) << 64) / span);
+  const auto bucket = [lo, scale](index_t c) {
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(c - lo)) *
+         scale) >> 64);
+  };
+  bucket_end_.assign(n, 0);
+  for (const index_t c : cols) ++bucket_end_[bucket(c)];
+  std::uint32_t begin = 0;
+  bool crowded = false;
+  for (std::uint32_t& end : bucket_end_) {  // counts -> bucket starts
+    const std::uint32_t count = end;
+    crowded |= count > kInsertionSortMax;
+    end = begin;
+    begin += count;
+  }
+  buffer_.assign(cols.begin(), cols.end());
+  for (const index_t c : buffer_) cols[bucket_end_[bucket(c)]++] = c;
+  if (crowded) {  // std::sort the crowded buckets; the pass below skims them
+    begin = 0;
+    for (const std::uint32_t end : bucket_end_) {
+      if (end - begin > kInsertionSortMax)
+        std::sort(cols.begin() + begin, cols.begin() + end);
+      begin = end;
+    }
+  }
+  // Buckets are in order, so one insertion sort over the whole row only
+  // moves entries within their bucket.
+  insertion_sort(cols.data(), n);
+}
+
+namespace {
+
+/// One generated row: the candidate columns being drawn, plus the sorter
+/// that orders them. Reused across rows so neither allocates per row.
+struct RowScratch {
+  std::vector<index_t> cols;
+  RowSorter sort;
+
+  /// Sort the row and drop duplicate columns.
+  void sort_unique() {
+    sort(cols);
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  }
+};
+
 /// Append `count` distinct sorted columns from a candidate generator into
 /// `flat`, returning how many were kept after dedup/clamping.
 template <typename NextCol>
-index_t emit_row(std::vector<index_t>& flat, std::vector<index_t>& scratch,
-                 index_t count, index_t cols, NextCol&& next_col) {
+index_t emit_row(std::vector<index_t>& flat, RowScratch& row, index_t count,
+                 index_t cols, NextCol&& next_col) {
+  std::vector<index_t>& scratch = row.cols;
   scratch.clear();
   const index_t want = std::min(count, cols);
-  // Draw in rounds, deduplicating once per round (a handful of O(k log k)
-  // sorts instead of one per few draws). Rows denser than the candidate
-  // distribution supports simply come out short.
+  // Draw in rounds, deduplicating once per round (a handful of row sorts
+  // instead of one per few draws). Each round sorts the kept columns and
+  // the new draws together with RowSorter, a bucket pass that costs about
+  // a third of std::sort on these short, spread-out rows. Rows denser than
+  // the candidate distribution supports simply come out short.
   for (int round = 0; round < 4 && static_cast<index_t>(scratch.size()) < want;
        ++round) {
     const index_t need = want - static_cast<index_t>(scratch.size());
@@ -31,8 +109,7 @@ index_t emit_row(std::vector<index_t>& flat, std::vector<index_t>& scratch,
       if (c >= cols) c = cols - 1;
       scratch.push_back(c);
     }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+    row.sort_unique();
   }
   if (static_cast<index_t>(scratch.size()) > want)
     scratch.resize(static_cast<std::size_t>(want));
@@ -52,26 +129,24 @@ index_t sample_length(Rng& rng, double mu, double cv, index_t cap) {
   return std::clamp<index_t>(rounded, 0, cap);
 }
 
-Csr<double> assemble(index_t rows, index_t cols,
-                     std::vector<index_t> row_counts,
-                     std::vector<index_t> flat_cols, Rng& rng) {
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
-  for (index_t r = 0; r < rows; ++r)
-    row_ptr[static_cast<std::size_t>(r) + 1] =
-        row_ptr[static_cast<std::size_t>(r)] +
-        row_counts[static_cast<std::size_t>(r)];
-  std::vector<double> values(flat_cols.size());
-  for (auto& v : values) v = rng.uniform(0.5, 1.5);
-  return Csr<double>(rows, cols, std::move(row_ptr), std::move(flat_cols),
-                     std::move(values));
+/// `rows + 1` zero-initialized slots; generators store row r's length at
+/// index r + 1 and assemble() turns the lengths into row pointers in place.
+std::vector<index_t> row_lengths(index_t rows) {
+  return std::vector<index_t>(static_cast<std::size_t>(rows) + 1, 0);
 }
 
-Csr<double> gen_banded(const GenSpec& s, Rng& rng) {
-  std::vector<index_t> counts(static_cast<std::size_t>(s.rows));
+CsrPattern assemble(index_t rows, index_t cols, std::vector<index_t> row_ptr,
+                    std::vector<index_t> flat_cols) {
+  for (std::size_t r = 1; r < row_ptr.size(); ++r) row_ptr[r] += row_ptr[r - 1];
+  return CsrPattern{rows, cols, std::move(row_ptr), std::move(flat_cols)};
+}
+
+CsrPattern gen_banded(const GenSpec& s, Rng& rng) {
+  std::vector<index_t> counts = row_lengths(s.rows);
   std::vector<index_t> flat;
   flat.reserve(static_cast<std::size_t>(
       std::llround(static_cast<double>(s.rows) * s.row_mu * 1.05)));
-  std::vector<index_t> scratch;
+  RowScratch row;
   const double hb_f = std::max(s.band_frac * static_cast<double>(s.cols),
                                s.row_mu + 2.0);
   const auto hb = static_cast<index_t>(hb_f);
@@ -88,8 +163,8 @@ Csr<double> gen_banded(const GenSpec& s, Rng& rng) {
     // scattered inside the band (gives non-trivial chunk statistics).
     const index_t run = std::max<index_t>(1, (len * 7) / 10);
     index_t emitted_in_run = 0;
-    counts[static_cast<std::size_t>(r)] = emit_row(
-        flat, scratch, len, s.cols, [&]() -> index_t {
+    counts[static_cast<std::size_t>(r) + 1] = emit_row(
+        flat, row, len, s.cols, [&]() -> index_t {
           if (emitted_in_run < run) {
             return diag - run / 2 + emitted_in_run++;
           }
@@ -98,10 +173,10 @@ Csr<double> gen_banded(const GenSpec& s, Rng& rng) {
                                                     static_cast<double>(hb))));
         });
   }
-  return assemble(s.rows, s.cols, std::move(counts), std::move(flat), rng);
+  return assemble(s.rows, s.cols, std::move(counts), std::move(flat));
 }
 
-Csr<double> gen_stencil(const GenSpec& s, Rng& rng) {
+CsrPattern gen_stencil(const GenSpec& s) {
   // Square grid; rows == cols == n*n (n from spec.rows).
   const auto n = static_cast<index_t>(
       std::max(2.0, std::floor(std::sqrt(static_cast<double>(s.rows)))));
@@ -117,7 +192,7 @@ Csr<double> gen_stencil(const GenSpec& s, Rng& rng) {
     offsets.insert(offsets.end(), {{2, 0}, {-2, 0}, {0, 2}, {0, -2},
                                    {2, 1}, {-2, -1}, {1, 2}, {-1, -2}});
   }
-  std::vector<index_t> counts(static_cast<std::size_t>(size));
+  std::vector<index_t> counts = row_lengths(size);
   std::vector<index_t> flat;
   flat.reserve(static_cast<std::size_t>(size) * offsets.size());
   std::vector<index_t> row_cols;
@@ -130,35 +205,35 @@ Csr<double> gen_stencil(const GenSpec& s, Rng& rng) {
           row_cols.push_back(ny * n + nx);
       }
       std::sort(row_cols.begin(), row_cols.end());
-      counts[static_cast<std::size_t>(y * n + x)] =
+      counts[static_cast<std::size_t>(y * n + x) + 1] =
           static_cast<index_t>(row_cols.size());
       flat.insert(flat.end(), row_cols.begin(), row_cols.end());
     }
   }
-  return assemble(size, size, std::move(counts), std::move(flat), rng);
+  return assemble(size, size, std::move(counts), std::move(flat));
 }
 
-Csr<double> gen_uniform(const GenSpec& s, Rng& rng) {
-  std::vector<index_t> counts(static_cast<std::size_t>(s.rows));
+CsrPattern gen_uniform(const GenSpec& s, Rng& rng) {
+  std::vector<index_t> counts = row_lengths(s.rows);
   std::vector<index_t> flat;
   flat.reserve(static_cast<std::size_t>(
       std::llround(static_cast<double>(s.rows) * s.row_mu * 1.05)));
-  std::vector<index_t> scratch;
+  RowScratch row;
   for (index_t r = 0; r < s.rows; ++r) {
     const index_t len = sample_length(rng, s.row_mu, s.row_cv, s.cols);
-    counts[static_cast<std::size_t>(r)] =
-        emit_row(flat, scratch, len, s.cols,
+    counts[static_cast<std::size_t>(r) + 1] =
+        emit_row(flat, row, len, s.cols,
                  [&]() { return rng.uniform_int(0, s.cols - 1); });
   }
-  return assemble(s.rows, s.cols, std::move(counts), std::move(flat), rng);
+  return assemble(s.rows, s.cols, std::move(counts), std::move(flat));
 }
 
-Csr<double> gen_powerlaw(const GenSpec& s, Rng& rng) {
-  std::vector<index_t> counts(static_cast<std::size_t>(s.rows));
+CsrPattern gen_powerlaw(const GenSpec& s, Rng& rng) {
+  std::vector<index_t> counts = row_lengths(s.rows);
   std::vector<index_t> flat;
   flat.reserve(static_cast<std::size_t>(
       std::llround(static_cast<double>(s.rows) * s.row_mu * 1.1)));
-  std::vector<index_t> scratch;
+  RowScratch row;
   // Pareto(alpha) has mean alpha/(alpha-1); rescale so E[len] ~= row_mu.
   const double scale =
       s.alpha > 1.05 ? s.row_mu * (s.alpha - 1.0) / s.alpha : s.row_mu * 0.3;
@@ -166,8 +241,8 @@ Csr<double> gen_powerlaw(const GenSpec& s, Rng& rng) {
     const auto raw = static_cast<double>(rng.pareto_int(s.alpha, s.cols));
     const index_t len = std::clamp<index_t>(
         static_cast<index_t>(std::llround(raw * scale)), 1, s.cols);
-    counts[static_cast<std::size_t>(r)] = emit_row(
-        flat, scratch, len, s.cols, [&]() -> index_t {
+    counts[static_cast<std::size_t>(r) + 1] = emit_row(
+        flat, row, len, s.cols, [&]() -> index_t {
           // Half hub-preferential (Zipf-like), half uniform.
           if (rng.bernoulli(0.5)) {
             const double u = rng.uniform();
@@ -177,21 +252,22 @@ Csr<double> gen_powerlaw(const GenSpec& s, Rng& rng) {
           return rng.uniform_int(0, s.cols - 1);
         });
   }
-  return assemble(s.rows, s.cols, std::move(counts), std::move(flat), rng);
+  return assemble(s.rows, s.cols, std::move(counts), std::move(flat));
 }
 
-Csr<double> gen_block(const GenSpec& s, Rng& rng) {
+CsrPattern gen_block(const GenSpec& s, Rng& rng) {
   const index_t bs = std::max<index_t>(2, s.block_size);
   const index_t block_cols = std::max<index_t>(1, s.cols / bs);
   const double fill = 0.8;  // density inside a selected block
   const auto blocks_per_row = std::max<index_t>(
       1, static_cast<index_t>(
              std::llround(s.row_mu / (static_cast<double>(bs) * fill))));
-  std::vector<index_t> counts(static_cast<std::size_t>(s.rows));
+  std::vector<index_t> counts = row_lengths(s.rows);
   std::vector<index_t> flat;
   flat.reserve(static_cast<std::size_t>(
       std::llround(static_cast<double>(s.rows) * s.row_mu * 1.1)));
-  std::vector<index_t> scratch, picked;
+  RowScratch row;
+  std::vector<index_t> picked;
   for (index_t r = 0; r < s.rows; ++r) {
     // Rows in the same block-row share their block choices via a seeded
     // draw, giving genuine block structure rather than per-row noise.
@@ -199,21 +275,21 @@ Csr<double> gen_block(const GenSpec& s, Rng& rng) {
     picked.clear();
     for (index_t b = 0; b < blocks_per_row; ++b)
       picked.push_back(block_rng.uniform_int(0, block_cols - 1));
-    scratch.clear();
+    row.cols.clear();
     for (index_t bc : picked) {
       const index_t base = bc * bs;
       for (index_t k = 0; k < bs && base + k < s.cols; ++k)
-        if (rng.bernoulli(fill)) scratch.push_back(base + k);
+        if (rng.bernoulli(fill)) row.cols.push_back(base + k);
     }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    counts[static_cast<std::size_t>(r)] = static_cast<index_t>(scratch.size());
-    flat.insert(flat.end(), scratch.begin(), scratch.end());
+    row.sort_unique();
+    counts[static_cast<std::size_t>(r) + 1] =
+        static_cast<index_t>(row.cols.size());
+    flat.insert(flat.end(), row.cols.begin(), row.cols.end());
   }
-  return assemble(s.rows, s.cols, std::move(counts), std::move(flat), rng);
+  return assemble(s.rows, s.cols, std::move(counts), std::move(flat));
 }
 
-Csr<double> gen_geom(const GenSpec& s, Rng& rng) {
+CsrPattern gen_geom(const GenSpec& s, Rng& rng) {
   // Random geometric graph on a sqrt(R) x sqrt(R) grid embedding: each
   // vertex connects to ~row_mu spatial neighbours (2D offsets), so column
   // indices cluster at r + dx + n*dy.
@@ -221,17 +297,17 @@ Csr<double> gen_geom(const GenSpec& s, Rng& rng) {
       std::max(2.0, std::floor(std::sqrt(static_cast<double>(s.rows)))));
   const index_t size = n * n;
   const double radius = std::max(1.0, std::sqrt(s.row_mu / std::numbers::pi));
-  std::vector<index_t> counts(static_cast<std::size_t>(size));
+  std::vector<index_t> counts = row_lengths(size);
   std::vector<index_t> flat;
   flat.reserve(static_cast<std::size_t>(
       std::llround(static_cast<double>(size) * s.row_mu * 1.1)));
-  std::vector<index_t> scratch;
+  RowScratch row;
   for (index_t r = 0; r < size; ++r) {
     const index_t x = r % n, y = r / n;
     const index_t len =
         std::max<index_t>(1, sample_length(rng, s.row_mu, 0.25, size));
-    counts[static_cast<std::size_t>(r)] = emit_row(
-        flat, scratch, len, size, [&]() -> index_t {
+    counts[static_cast<std::size_t>(r) + 1] = emit_row(
+        flat, row, len, size, [&]() -> index_t {
           const auto dx = static_cast<index_t>(
               std::llround(rng.normal(0.0, radius)));
           const auto dy = static_cast<index_t>(
@@ -241,7 +317,7 @@ Csr<double> gen_geom(const GenSpec& s, Rng& rng) {
           return ny * n + nx;
         });
   }
-  return assemble(size, size, std::move(counts), std::move(flat), rng);
+  return assemble(size, size, std::move(counts), std::move(flat));
 }
 
 }  // namespace
@@ -259,14 +335,21 @@ const char* family_name(MatrixFamily f) {
   return "";
 }
 
-Csr<double> generate(const GenSpec& spec) {
+namespace {
+
+Rng spec_rng(const GenSpec& spec) {
   SPMVML_ENSURE(spec.rows > 0 && spec.cols > 0, "spec needs positive dims");
   SPMVML_ENSURE(spec.row_mu >= 0.0, "negative row_mu");
-  Rng rng(hash_combine(spec.seed,
-                       static_cast<std::uint64_t>(spec.family) * 7919));
+  return Rng(hash_combine(spec.seed,
+                          static_cast<std::uint64_t>(spec.family) * 7919));
+}
+
+/// The pattern every generator entry point shares. generate() keeps
+/// drawing from `rng` for the values, so they follow the same stream.
+CsrPattern draw_pattern(const GenSpec& spec, Rng& rng) {
   switch (spec.family) {
     case MatrixFamily::kBanded: return gen_banded(spec, rng);
-    case MatrixFamily::kStencil: return gen_stencil(spec, rng);
+    case MatrixFamily::kStencil: return gen_stencil(spec);
     case MatrixFamily::kUniformRandom: return gen_uniform(spec, rng);
     case MatrixFamily::kPowerLaw: return gen_powerlaw(spec, rng);
     case MatrixFamily::kBlockRandom: return gen_block(spec, rng);
@@ -274,6 +357,22 @@ Csr<double> generate(const GenSpec& spec) {
   }
   SPMVML_ENSURE(false, "unreachable: invalid MatrixFamily");
   return {};
+}
+
+}  // namespace
+
+CsrPattern generate_pattern(const GenSpec& spec) {
+  Rng rng = spec_rng(spec);
+  return draw_pattern(spec, rng);
+}
+
+Csr<double> generate(const GenSpec& spec) {
+  Rng rng = spec_rng(spec);
+  CsrPattern p = draw_pattern(spec, rng);
+  std::vector<double> values(p.col_idx.size());
+  for (auto& v : values) v = rng.uniform(0.5, 1.5);
+  return Csr<double>(p.rows, p.cols, std::move(p.row_ptr),
+                     std::move(p.col_idx), std::move(values));
 }
 
 Csr<double> shuffle_labels(const Csr<double>& m, std::uint64_t seed) {

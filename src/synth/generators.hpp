@@ -14,7 +14,10 @@
 // All generators are deterministic in (spec, seed) and emit canonical CSR.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sparse/csr.hpp"
 
@@ -56,6 +59,29 @@ struct GenSpec {
 /// Generate the matrix described by `spec`. Values are uniform in
 /// [0.5, 1.5] so SpMV results are well-conditioned for correctness checks.
 Csr<double> generate(const GenSpec& spec);
+
+/// generate(spec)'s row_ptr and col_idx without the values: the same code
+/// draws the same pattern, then stops before the one draw per nonzero
+/// that fills the value array. Label collection uses it, so a matrix in
+/// flight holds half the bytes.
+CsrPattern generate_pattern(const GenSpec& spec);
+
+/// Sorts one generated row's candidate columns (non-negative indices).
+/// A counting pass spreads the row's n entries over n buckets spanning
+/// its [min, max]; one insertion sort then finishes the row, moving
+/// entries only within their bucket: O(n) on the spread-out rows
+/// generators draw. A bucket above 16 entries (duplicates, a hub, a
+/// contiguous run) is std::sort-ed first, so the worst case stays
+/// O(n log n). Any correct sort yields the same array, so generate()
+/// does not depend on this choice. Holds its scratch between rows.
+class RowSorter {
+ public:
+  void operator()(std::span<index_t> cols);
+
+ private:
+  std::vector<index_t> buffer_;
+  std::vector<std::uint32_t> bucket_end_;
+};
 
 /// Human-readable one-line description, e.g. "powerlaw r=10000 mu=12.0".
 std::string describe(const GenSpec& spec);

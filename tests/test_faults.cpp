@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/format_selector.hpp"
@@ -343,6 +345,146 @@ TEST(Checkpoint, PlanFingerprintSeparatesSameSizePlans) {
             plan_fingerprint(make_small_plan(6, 78)));
   EXPECT_EQ(plan_fingerprint(make_small_plan(6, 77)),
             plan_fingerprint(make_small_plan(6, 77)));
+}
+
+// Checkpoint / resume under largest-first parallel dispatch: entries finish
+// out of plan order, so a checkpoint is the set of finished records and
+// resume matches its rows to plan entries by seed.
+
+/// Transient faults retried in place (no backoff): a worker keeps its
+/// matrix until it finishes, so at most `threads` entries are in flight
+/// and a kill leaves the largest-first tail of the plan never started.
+CollectOptions retrying_options(int threads) {
+  CollectOptions opts;
+  opts.faults.enabled = true;
+  opts.faults.transient_rate = 0.2;
+  opts.threads = threads;
+  return opts;
+}
+
+/// True when the checkpoint's records are plan entries 0..k-1, the only
+/// shape a checkpoint had before dispatch went largest-first.
+bool is_plan_prefix(const CorpusPlan& plan, const LabeledCorpus& records) {
+  for (std::size_t i = 0; i < records.size(); ++i)
+    if (records.records[i].seed != plan.specs[i].seed) return false;
+  return true;
+}
+
+std::string corpus_text(const LabeledCorpus& corpus, const CorpusPlan& plan,
+                        const std::string& path) {
+  save_corpus_csv(path, corpus, plan.size(), plan_fingerprint(plan),
+                  plan.size());
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  return text.str();
+}
+
+/// Run `plan` until `kill_at` entries are done, then throw; the collector
+/// leaves a checkpoint at `path`. Returns its records.
+LabeledCorpus kill_run(const CorpusPlan& plan, CollectOptions opts,
+                       const std::string& path, std::size_t kill_at) {
+  opts.checkpoint_path = path;
+  opts.checkpoint_every = 3;
+  opts.progress = [kill_at](std::size_t done, std::size_t) {
+    if (done >= kill_at) throw AbortCollection{};
+  };
+  EXPECT_THROW(collect_corpus(plan, opts), AbortCollection);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  LabeledCorpus recorded = load_corpus_csv(path);
+  EXPECT_LT(recorded.size(), plan.size()) << "the kill left nothing to resume";
+  return recorded;
+}
+
+/// Resume from the checkpoint at `path` with `opts` and check the result
+/// against an uninterrupted run: byte-identical, and nothing recorded in
+/// the checkpoint measured again.
+void expect_resume_matches(const CorpusPlan& plan, const CollectOptions& opts,
+                           const std::string& path, std::size_t recorded) {
+  ASSERT_GT(recorded, 0u);
+  CollectOptions resume = opts;
+  resume.checkpoint_path = path;
+  const LabeledCorpus resumed = collect_corpus(plan, resume);
+  std::remove(path.c_str());
+  EXPECT_EQ(resumed.stats.resumed_records, recorded);
+  // Nothing is dropped on these plans, so every entry is either restored
+  // or attempted, never both.
+  EXPECT_EQ(resumed.stats.attempted, plan.size() - recorded);
+  CollectOptions fresh = opts;
+  fresh.threads = 1;
+  const LabeledCorpus full = collect_corpus(plan, fresh);
+  EXPECT_EQ(full.stats.kept, plan.size());
+  EXPECT_EQ(corpus_text(resumed, plan, path), corpus_text(full, plan, path));
+}
+
+TEST(Checkpoint, ParallelKillThenResumeRemeasuresNoRecordedEntry) {
+  const auto plan = make_small_plan(14, 4711);
+  const auto path = testing::TempDir() + "/spmvml_checkpoint_set.csv";
+  std::remove(path.c_str());
+  const CollectOptions opts = retrying_options(4);
+  // At most 8 + 3 entries start before the kill, so the one dispatched
+  // last (a low plan index) never runs and the set is not a prefix.
+  ASSERT_LT(largest_first(plan).back(), 8u);
+  const LabeledCorpus recorded = kill_run(plan, opts, path, 8);
+  EXPECT_GE(recorded.size(), 8u);
+  EXPECT_FALSE(is_plan_prefix(plan, recorded));
+  expect_resume_matches(plan, opts, path, recorded.size());
+}
+
+TEST(Checkpoint, SerialCheckpointResumesInParallel) {
+  const auto plan = make_small_plan(12, 4712);
+  const auto path = testing::TempDir() + "/spmvml_checkpoint_s2p.csv";
+  std::remove(path.c_str());
+  const LabeledCorpus recorded =
+      kill_run(plan, retrying_options(1), path, 7);
+  EXPECT_EQ(recorded.size(), 6u);  // the serial checkpoint at 6 of 12
+  EXPECT_TRUE(is_plan_prefix(plan, recorded));
+  expect_resume_matches(plan, retrying_options(4), path, recorded.size());
+}
+
+TEST(Checkpoint, ParallelCheckpointResumesSerially) {
+  const auto plan = make_small_plan(12, 4716);
+  const auto path = testing::TempDir() + "/spmvml_checkpoint_p2s.csv";
+  std::remove(path.c_str());
+  ASSERT_LT(largest_first(plan).back(), 5u);  // as above: never started
+  const LabeledCorpus recorded =
+      kill_run(plan, retrying_options(4), path, 5);
+  EXPECT_FALSE(is_plan_prefix(plan, recorded));
+  expect_resume_matches(plan, retrying_options(1), path, recorded.size());
+}
+
+TEST(Checkpoint, OutOfOrderRecordSetResumes) {
+  // A checkpoint is a set: rows in any order, with gaps, restore the
+  // entries whose seeds they carry.
+  const auto plan = make_small_plan(9, 4714);
+  const auto path = testing::TempDir() + "/spmvml_checkpoint_gaps.csv";
+  const LabeledCorpus full = collect_corpus(plan);
+  LabeledCorpus partial;
+  for (std::size_t i : {7u, 2u, 4u}) partial.records.push_back(full.records[i]);
+  save_corpus_csv(path, partial, plan.size(), plan_fingerprint(plan), 3);
+  expect_resume_matches(plan, CollectOptions{}, path, 3);
+}
+
+TEST(Checkpoint, UnmatchedOrDuplicateSeedMakesCheckpointStale) {
+  const auto plan = make_small_plan(8, 4715);
+  const auto path = testing::TempDir() + "/spmvml_checkpoint_stale.csv";
+  const LabeledCorpus full = collect_corpus(plan);
+  for (int variant = 0; variant < 2; ++variant) {
+    LabeledCorpus partial;
+    partial.records = {full.records[0], full.records[3]};
+    if (variant == 0)
+      partial.records[1].seed ^= 0x1;  // a seed no plan entry carries
+    else
+      partial.records[1] = partial.records[0];  // one entry claimed twice
+    save_corpus_csv(path, partial, plan.size(), plan_fingerprint(plan), 2);
+    CollectOptions resume;
+    resume.checkpoint_path = path;
+    const LabeledCorpus resumed = collect_corpus(plan, resume);
+    EXPECT_EQ(resumed.stats.resumed_records, 0u) << "variant " << variant;
+    EXPECT_EQ(resumed.stats.attempted, plan.size()) << "variant " << variant;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "synth/corpus.hpp"
 #include "synth/generators.hpp"
@@ -233,6 +238,144 @@ TEST(Corpus, SmallPlanHasRequestedSize) {
     const auto m = generate(spec);
     EXPECT_GT(m.nnz(), 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Generator contract: generate() is pinned bit for bit. Every plan shape
+// is generated as every family, plus one wide shape per family whose long
+// (and, for powerlaw, hub-heavy) rows take the row sort's bucket path.
+
+std::vector<GenSpec> contract_specs(MatrixFamily family) {
+  std::vector<GenSpec> specs = make_small_plan(12, 2018).specs;
+  GenSpec wide = base_spec(family, 31);
+  wide.rows = 3000;
+  wide.cols = 3000;
+  wide.row_mu = 60.0;
+  wide.alpha = 1.5;
+  specs.push_back(wide);
+  for (GenSpec& s : specs) s.family = family;
+  return specs;
+}
+
+std::uint64_t matrix_hash(const Csr<double>& m, std::uint64_t h) {
+  h = hash_combine(h, static_cast<std::uint64_t>(m.rows()));
+  h = hash_combine(h, static_cast<std::uint64_t>(m.cols()));
+  h = hash_bytes(m.row_ptr().data(), m.row_ptr().size_bytes(), h);
+  h = hash_bytes(m.col_idx().data(), m.col_idx().size_bytes(), h);
+  return hash_bytes(m.values().data(), m.values().size_bytes(), h);
+}
+
+TEST(GeneratorContract, HashesPinnedForEveryFamily) {
+  // Computed before the row sort changed; any correct sort of integers
+  // must leave every family's matrices bit for bit the same.
+  constexpr std::array<std::uint64_t, kNumFamilies> kPinned = {
+      16534702504853563650ULL, 12524995112043257367ULL,
+      14831986008715056520ULL, 15676354437908817435ULL,
+      8203114559646696047ULL,  5573101063571530630ULL};
+  for (int fi = 0; fi < kNumFamilies; ++fi) {
+    const auto family = static_cast<MatrixFamily>(fi);
+    std::uint64_t h = 0;
+    for (const GenSpec& s : contract_specs(family))
+      h = matrix_hash(generate(s), h);
+    EXPECT_EQ(h, kPinned[static_cast<std::size_t>(fi)]) << family_name(family);
+  }
+}
+
+TEST(GeneratorContract, PatternIsGenerateWithoutValues) {
+  for (int fi = 0; fi < kNumFamilies; ++fi) {
+    const auto family = static_cast<MatrixFamily>(fi);
+    for (const GenSpec& s : contract_specs(family)) {
+      const Csr<double> m = generate(s);
+      const CsrPattern p = generate_pattern(s);
+      EXPECT_EQ(p.rows, m.rows()) << family_name(family);
+      EXPECT_EQ(p.cols, m.cols()) << family_name(family);
+      EXPECT_TRUE(std::ranges::equal(p.row_ptr, m.row_ptr()))
+          << family_name(family);
+      EXPECT_TRUE(std::ranges::equal(p.col_idx, m.col_idx()))
+          << family_name(family);
+    }
+  }
+}
+
+/// RowSorter must agree with std::sort on every input.
+void expect_sorts_like_std(RowSorter& sorter, std::vector<index_t> row,
+                           const std::string& what) {
+  std::vector<index_t> expected = row;
+  std::sort(expected.begin(), expected.end());
+  sorter(row);
+  EXPECT_EQ(row, expected) << what << " n=" << expected.size();
+}
+
+TEST(RowSorter, MatchesStdSortOnRandomRows) {
+  RowSorter sorter;  // reused across rows, as the generators do
+  Rng rng(17);
+  for (const std::size_t n : {0u, 1u, 2u, 15u, 16u, 17u, 45u, 300u, 5000u}) {
+    for (const index_t range : {index_t{3}, static_cast<index_t>(n / 4 + 1),
+                                index_t{1'000'000}, index_t{1} << 40}) {
+      std::vector<index_t> row(n);
+      for (auto& c : row) c = rng.uniform_int(0, range - 1);
+      expect_sorts_like_std(sorter, row, "range " + std::to_string(range));
+    }
+  }
+}
+
+TEST(RowSorter, MatchesStdSortOnAdversarialRows) {
+  RowSorter sorter;
+  Rng rng(18);
+  expect_sorts_like_std(sorter, std::vector<index_t>(500, 7), "all equal");
+
+  std::vector<index_t> hot;  // one bucket holds 90% of the row
+  for (int i = 0; i < 450; ++i) hot.push_back(1000 + rng.uniform_int(0, 9));
+  for (int i = 0; i < 50; ++i) hot.push_back(rng.uniform_int(0, 1'000'000));
+  expect_sorts_like_std(sorter, hot, "one hot bucket");
+
+  std::vector<index_t> sorted;
+  for (index_t c = 0; c < 2000; ++c) sorted.push_back(c * 37 + (c % 5));
+  expect_sorts_like_std(sorter, sorted, "sorted");
+  std::reverse(sorted.begin(), sorted.end());
+  expect_sorts_like_std(sorter, sorted, "reversed");
+
+  // Banded rows: a contiguous run at the diagonal plus normal scatter.
+  std::vector<index_t> banded;
+  for (index_t c = 0; c < 300; ++c) banded.push_back(50'000 + c);
+  for (int i = 0; i < 130; ++i)
+    banded.push_back(50'000 + static_cast<index_t>(rng.normal(0.0, 2000.0)));
+  expect_sorts_like_std(sorter, banded, "banded run");
+
+  // Powerlaw hub rows, drawn like gen_powerlaw: half the columns crowd
+  // toward 0 (u^3), half are uniform.
+  for (const index_t cols : {index_t{40'000}, index_t{2'000'000}}) {
+    std::vector<index_t> hub;
+    for (int i = 0; i < 20'000; ++i) {
+      if (rng.bernoulli(0.5)) {
+        const double u = rng.uniform();
+        hub.push_back(static_cast<index_t>(static_cast<double>(cols) * u * u * u));
+      } else {
+        hub.push_back(rng.uniform_int(0, cols - 1));
+      }
+    }
+    expect_sorts_like_std(sorter, hub, "powerlaw hub");
+  }
+}
+
+TEST(Corpus, LargestFirstOrdersByEstimatedNnz) {
+  const auto plan = make_corpus_plan(0.02, 3);
+  const auto order = largest_first(plan);
+  ASSERT_EQ(order.size(), plan.size());
+  std::vector<std::size_t> seen = order;
+  std::sort(seen.begin(), seen.end());
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  const auto estimate = [&](std::size_t i) {
+    return static_cast<double>(plan.specs[i].rows) * plan.specs[i].row_mu;
+  };
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const std::size_t a = order[k - 1], b = order[k];
+    EXPECT_TRUE(estimate(a) > estimate(b) ||
+                (estimate(a) == estimate(b) && a < b))
+        << "position " << k;
+  }
+  // Plan buckets ascend in size, so the order starts in the last bucket.
+  EXPECT_EQ(plan.bucket_of[order.front()], plan.bucket_of.back());
 }
 
 }  // namespace

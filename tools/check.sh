@@ -2,13 +2,15 @@
 # Tier-1 verification, plus optional sanitizer passes.
 #
 #   tools/check.sh            # configure + build + ctest (the tier-1 gate),
-#                             # then the serving dispatcher tests 30 times
+#                             # then the serving dispatcher tests 30 times,
+#                             # the collector checkpoint tests 20 times
 #                             # and the parallel SpMV tests again at
 #                             # OMP_NUM_THREADS=3
 #   tools/check.sh --asan     # same, in a separate build dir with
 #                             # -fsanitize=address,undefined
 #   tools/check.sh --tsan     # ThreadSanitizer over the concurrency tests
-#                             # (thread pool, parallel collection, logger +
+#                             # (thread pool, parallel collection and its
+#                             # checkpoints, logger +
 #                             # sharded metrics, concurrent arenas, the
 #                             # online-learning loop); OpenMP
 #                             # is disabled there because libgomp's
@@ -48,7 +50,7 @@ elif [[ "${1:-}" == "--tsan" ]]; then
     -DSPMVML_ENABLE_OPENMP=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelCollector|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell'
+    -R 'ThreadPool|ParallelCollector|Checkpoint|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell'
 elif [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke (asan; scripted fault bursts + robustness tests) =="
   cmake -B build-chaos -S . "-DSPMVML_SANITIZE=address;undefined" \
@@ -78,6 +80,11 @@ else
   ctest --test-dir build --output-on-failure -j "$jobs" \
     -R 'ServeService\.(MicroBatching|AdmissionControl|ShutdownDrains)|IngestService\.ShardedDispatch' \
     --repeat until-fail:30
+  # The parallel collector finishes entries out of plan order (largest
+  # first, backoff requeues), so checkpoint contents vary run to run.
+  echo "== collector checkpoint tests, repeated =="
+  ctest --test-dir build --output-on-failure -j "$jobs" \
+    -R 'LabelCollector|ParallelCollector|Checkpoint' --repeat until-fail:20
   # The parallel SpMV kernels again at an odd thread count, which splits
   # their tasks unevenly across threads (--tsan runs with OpenMP off).
   echo "== parallel SpMV at OMP_NUM_THREADS=3 =="
