@@ -9,7 +9,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -400,8 +399,8 @@ LabeledCorpus collect_corpus_serial(const CorpusPlan& plan,
 // sleeping, so the worker immediately moves on to another matrix.
 // Finished entries land in plan-indexed slots; the assembled corpus is
 // therefore bitwise identical to the serial run for any thread count.
-// Checkpoints hold the set of finished records, snapshotted under the
-// lock and written outside it.
+// Checkpoints hold the set of finished records and are written under the
+// lock, so `done` in successive images only grows.
 
 struct MatrixTask {
   std::size_t index = 0;
@@ -413,14 +412,6 @@ struct MatrixTask {
   int attempt = 0;
   std::size_t valid_cells = 0;
   EntryStats stats;
-};
-
-/// A checkpoint image taken under ParallelCollectContext::mu. `done`
-/// strictly increases from one image to the next, so it also keeps an
-/// older image from overwriting a newer one on disk.
-struct CheckpointSnapshot {
-  LabeledCorpus records;
-  std::size_t done = 0;
 };
 
 struct ParallelCollectContext {
@@ -440,10 +431,6 @@ struct ParallelCollectContext {
   std::exception_ptr error;
   bool cancelled = false;
 
-  // Checkpoint files are written outside `mu`, one at a time.
-  std::mutex write_mu;
-  std::size_t written_done = 0;  // newest image on disk; under write_mu
-
   ParallelCollectContext(const CorpusPlan& p, const CollectOptions& o,
                          int threads)
       : plan(p), options(o), pool(threads) {
@@ -452,51 +439,31 @@ struct ParallelCollectContext {
   }
 };
 
-/// Caller holds ctx.mu (or the pool is idle).
-CheckpointSnapshot take_snapshot(ParallelCollectContext& ctx) {
-  return {checkpoint_records(ctx.slots), ctx.done};
-}
-
-/// Called without ctx.mu, so other workers keep finishing entries while
-/// the file is written.
-void write_snapshot(ParallelCollectContext& ctx,
-                    const CheckpointSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(ctx.write_mu);
-  if (snapshot.done <= ctx.written_done) return;  // already on disk, or newer
-  write_checkpoint(ctx.options, ctx.plan, ctx.fingerprint, snapshot.records,
-                   snapshot.done);
-  ctx.written_done = snapshot.done;
-}
-
 void finish_entry(ParallelCollectContext& ctx, const MatrixTask& task) {
-  std::optional<CheckpointSnapshot> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(ctx.mu);
-    EntrySlot& slot = ctx.slots[task.index];
-    slot.kept = task.prepared && !task.dropped && task.valid_cells > 0;
-    if (slot.kept) slot.rec = task.rec;
-    slot.stats = task.stats;
-    slot.done = true;
-    ++ctx.done;
-    ++ctx.completed;
+  std::lock_guard<std::mutex> lock(ctx.mu);
+  EntrySlot& slot = ctx.slots[task.index];
+  slot.kept = task.prepared && !task.dropped && task.valid_cells > 0;
+  if (slot.kept) slot.rec = task.rec;
+  slot.stats = task.stats;
+  slot.done = true;
+  ++ctx.done;
+  ++ctx.completed;
 
-    if (ctx.cancelled) return;  // draining after a failure: stay quiet
-    const CollectOptions& opt = ctx.options;
-    try {
-      if (checkpoint_due(opt, ctx.completed) && ctx.done < ctx.plan.size())
-        snapshot = take_snapshot(ctx);
-      // Serialized under the lock, so `done` is monotonic exactly like
-      // the serial path's.
-      if (opt.progress) opt.progress(ctx.done, ctx.plan.size());
-    } catch (...) {
-      // Cancel before the lock drops: otherwise another worker could
-      // finish an entry and report progress before run_matrix_task's
-      // handler runs.
-      ctx.cancelled = true;
-      throw;
-    }
+  if (ctx.cancelled) return;  // draining after a failure: stay quiet
+  const CollectOptions& opt = ctx.options;
+  try {
+    if (checkpoint_due(opt, ctx.completed) && ctx.done < ctx.plan.size())
+      write_checkpoint(opt, ctx.plan, ctx.fingerprint,
+                       checkpoint_records(ctx.slots), ctx.done);
+    // Serialized under the lock, so `done` is monotonic exactly like the
+    // serial path's.
+    if (opt.progress) opt.progress(ctx.done, ctx.plan.size());
+  } catch (...) {
+    // Cancel before the lock drops: otherwise another worker could finish
+    // an entry and report progress before run_matrix_task's handler runs.
+    ctx.cancelled = true;
+    throw;
   }
-  if (snapshot) write_snapshot(ctx, *snapshot);
 }
 
 void run_matrix_task(ParallelCollectContext& ctx,
@@ -597,10 +564,11 @@ LabeledCorpus collect_corpus_parallel(const CorpusPlan& plan,
     // A "killed" run still leaves every finished record on disk, so the
     // next invocation resumes instead of starting over. In-flight tasks
     // kept finishing after the failure (only queued work is drained), so
-    // this image holds everything completed. The pool is idle, so taking
+    // this image holds everything completed. The pool is idle, so writing
     // it needs no lock.
     if (!options.checkpoint_path.empty() && ctx.completed > 0)
-      write_snapshot(ctx, take_snapshot(ctx));
+      write_checkpoint(options, plan, ctx.fingerprint,
+                       checkpoint_records(ctx.slots), ctx.done);
     std::rethrow_exception(ctx.error);
   }
 

@@ -20,15 +20,6 @@ BreakerConfig sanitize(BreakerConfig cfg) {
 
 }  // namespace
 
-const char* breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(std::string name, BreakerConfig config)
     : name_(std::move(name)), cfg_(sanitize(config)) {
   publish_state(state_);

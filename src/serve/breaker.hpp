@@ -32,8 +32,6 @@ namespace spmvml::serve {
 
 enum class BreakerState : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
-const char* breaker_state_name(BreakerState s);
-
 struct BreakerConfig {
   /// Sliding outcome window: the error-rate trip needs at least this
   /// many recorded outcomes and fires when the windowed error fraction

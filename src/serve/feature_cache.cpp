@@ -26,17 +26,13 @@ obs::Counter& evict_counter() {
   return c;
 }
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
-  return hash_combine(h, word);
-}
-
 }  // namespace
 
 std::uint64_t matrix_content_hash(const Csr<double>& m) {
   std::uint64_t h = 0x5eed5eed5eed5eedULL;
-  h = mix(h, static_cast<std::uint64_t>(m.rows()));
-  h = mix(h, static_cast<std::uint64_t>(m.cols()));
-  h = mix(h, static_cast<std::uint64_t>(m.nnz()));
+  h = hash_combine(h, static_cast<std::uint64_t>(m.rows()));
+  h = hash_combine(h, static_cast<std::uint64_t>(m.cols()));
+  h = hash_combine(h, static_cast<std::uint64_t>(m.nnz()));
   h = hash_bytes(m.row_ptr().data(), m.row_ptr().size_bytes(), h);
   h = hash_bytes(m.col_idx().data(), m.col_idx().size_bytes(), h);
   return hash_bytes(m.values().data(), m.values().size_bytes(), h);

@@ -108,16 +108,7 @@ void Scorecard::record(const ScorecardEntry& e) {
 }
 
 std::vector<ScorecardEntry> Scorecard::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ScorecardEntry> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;  // not yet wrapped: insertion order is ring order
-  } else {
-    for (std::size_t i = 0; i < ring_.size(); ++i)
-      out.push_back(ring_[(next_ + i) % capacity_]);
-  }
-  return out;
+  return drain_since(0).entries;  // every retained entry, oldest first
 }
 
 Scorecard::Drained Scorecard::drain_since(std::uint64_t seq) const {

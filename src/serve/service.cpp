@@ -1,13 +1,8 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <sstream>
-#include <thread>
-#include <vector>
 
-#include "common/chaos/chaos.hpp"
 #include "common/error.hpp"
 #include "common/obs/log.hpp"
 #include "common/obs/metrics.hpp"
@@ -21,9 +16,28 @@
 
 namespace spmvml::serve {
 
+/// One request's state through the batch stages.
+struct Slot {
+  Response rsp;
+  Rung rung = Rung::kFailed;
+  std::uint64_t identity = 0;  // chaos draw key, stable across retries
+  FeatureVector features;
+  /// Row digest for the memory-feasibility mask; absent when the matrix
+  /// was never scanned (inline features, or the stage went down first).
+  std::optional<RowSummary> summary;
+  /// Borrowed ingest view, kept only for materialize requests. Pins the
+  /// CSR against cache eviction for the life of the batch.
+  std::shared_ptr<const Csr<double>> view;
+  bool counted = false;  // select_feasible() bumped serve.select itself
+};
+
 namespace {
 
 constexpr double kBatchBounds[] = {1, 2, 4, 8, 16, 32, 64, 128};
+/// Linear backoff step between retries of a faulted stage.
+constexpr double kRetryBackoffMs = 0.5;
+
+using PricedFormats = std::vector<std::pair<Format, double>>;
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -36,30 +50,11 @@ ServiceConfig sanitize(ServiceConfig cfg) {
   cfg.threads = cfg.threads < 1 ? 1 : cfg.threads;
   cfg.max_batch = std::max<std::size_t>(cfg.max_batch, 1);
   cfg.queue_capacity = std::max<std::size_t>(cfg.queue_capacity, 1);
-  cfg.ingest_cache_shards = std::max(cfg.ingest_cache_shards, 1);
   cfg.dispatch_shards = std::max(cfg.dispatch_shards, 1);
   cfg.admission_target_ms = std::max(cfg.admission_target_ms, 0.0);
   cfg.max_retries = std::max(cfg.max_retries, 0);
-  cfg.retry_backoff_ms = std::max(cfg.retry_backoff_ms, 0.0);
   cfg.watchdog_ms = std::max(cfg.watchdog_ms, 0.0);
   return cfg;
-}
-
-/// Identity key for the chaos draws of one request: stable across
-/// retries of the same request, distinct across requests.
-std::uint64_t request_identity(const Request& r) {
-  return chaos::identity_hash(!r.id.empty() ? r.id : r.matrix_path);
-}
-
-void backoff_sleep(int attempt, double backoff_ms) {
-  if (backoff_ms <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(backoff_ms * (attempt + 1)));
-}
-
-obs::Counter& retries_counter() {
-  static obs::Counter c = obs::MetricsRegistry::global().counter("serve.retries");
-  return c;
 }
 
 std::string format_ms(double ms) {
@@ -69,18 +64,112 @@ std::string format_ms(double ms) {
   return os.str();
 }
 
+/// Drop `s` to `target` for `reason`; a request never climbs back up.
+/// Predict has no floor below its own rung — its answer is the
+/// regressor pass — so a fall fails it with `predict_error` instead.
+/// Every other mode is served degraded and keeps its first reason.
+void fall(Slot& s, Rung target, std::string_view reason,
+          const char* predict_error) {
+  if (target < s.rung && s.rsp.mode == RequestMode::kPredict) {
+    s.rung = Rung::kFailed;
+    s.rsp.error = predict_error;
+    return;
+  }
+  s.rung = std::min(s.rung, target);
+  s.rsp.degraded = true;
+  if (s.rsp.degrade_reason.empty()) s.rsp.degrade_reason = reason;
+}
+
+/// The one exception-to-response mapping: "<category>: <what>", with
+/// anything outside the error taxonomy reported as "generic".
+void fail(Slot& s, const std::exception& e) {
+  const auto* err = dynamic_cast<const Error*>(&e);
+  s.rung = Rung::kFailed;
+  s.rsp.ok = false;
+  s.rsp.error =
+      err != nullptr ? error_category_name(err->category()) : "generic";
+  s.rsp.error.append(": ").append(e.what());
+}
+
+/// Predicted SpMV time of every modeled format, in microseconds.
+PricedFormats price_formats(const PerfModel& perf,
+                            const FeatureVector& features) {
+  PricedFormats priced;
+  priced.reserve(perf.formats().size());
+  for (const Format f : perf.formats())
+    priced.emplace_back(f, perf.predict_seconds(features, f) * 1e6);
+  return priced;
+}
+
+/// The cheapest priced format that `feasible` admits (every format when
+/// it is empty): the first one on ties, nullptr when none is admitted.
+const std::pair<Format, double>* cheapest(const PricedFormats& priced,
+                                          const FeasibilityFn& feasible = {}) {
+  const std::pair<Format, double>* best = nullptr;
+  for (const auto& p : priced)
+    if ((!feasible || feasible(p.first)) &&
+        (best == nullptr || p.second < best->second))
+      best = &p;
+  return best;
+}
+
+/// Perf-model GFLOPS of `f` for `flops` of work; 0 when `f` is unpriced.
+double priced_gflops(const PricedFormats& priced, Format f, double flops) {
+  for (const auto& [g, us] : priced)
+    if (g == f && us > 0.0) return flops / (us * 1e-6) / 1e9;
+  return 0.0;
+}
+
+/// One timed SpMV (x = 1, y = 0) on a built format, in seconds. The
+/// vectors are thread_local like the conversion arena, so steady state
+/// allocates nothing. Clamped: a sub-resolution measurement must not
+/// produce an infinite GFLOPS figure.
+double time_spmv(const AnyMatrix<double>& built, const Csr<double>& csr) {
+  thread_local std::vector<double> x, y;
+  x.assign(static_cast<std::size_t>(csr.cols()), 1.0);
+  y.assign(static_cast<std::size_t>(csr.rows()), 0.0);
+  WallTimer timer;
+  built.spmv(x, y);
+  return std::max(timer.seconds(), 1e-9);
+}
+
 }  // namespace
 
 Service::Service(ServiceConfig config, ModelRegistry& registry)
     : cfg_(sanitize(config)),
       registry_(registry),
-      cache_(cfg_.cache_capacity, cfg_.cache_shards),
-      ingest_(cfg_.ingest_cache_bytes, cfg_.ingest_cache_shards),
+      cache_(cfg_.cache_capacity),
+      ingest_(cfg_.ingest_cache_bytes),
       pool_(cfg_.threads),
-      feature_breaker_("features", cfg_.breaker),
-      inference_breaker_("inference", cfg_.breaker),
-      regress_breaker_("regress", cfg_.breaker),
-      materialize_breaker_("materialize", cfg_.breaker) {
+      // The stage table. Materialize's floor is the rung the request
+      // already stands on: the selection is served, just not built.
+      stages_{{
+          {"serve.features", {"features", cfg_.breaker},
+           chaos::Site::kFeatureExtract, Rung::kCsr,
+           &Response::stage_features_ms, "breaker:features",
+           "chaos:feature_extract",
+           "unavailable: feature stage breaker open (predict has no "
+           "degradation floor)",
+           "io: injected feature-extract fault persisted past the retry "
+           "budget"},
+          {"serve.classify", {"inference", cfg_.breaker},
+           chaos::Site::kInference, Rung::kCsr, &Response::stage_classify_ms,
+           "breaker:inference", "chaos:inference",
+           "unavailable: inference breaker open (predict has no degradation "
+           "floor)",
+           "model-format: injected inference fault persisted past the retry "
+           "budget"},
+          {"serve.regress", {"regress", cfg_.breaker}, std::nullopt,
+           Rung::kDirect, &Response::stage_regress_ms, "breaker:regress",
+           nullptr,
+           "unavailable: regress breaker open (predict has no degradation "
+           "floor)",
+           nullptr},
+          {"serve.finalize", {"materialize", cfg_.breaker},
+           chaos::Site::kMaterialize, Rung::kIndirect,
+           &Response::stage_finalize_ms, "breaker:materialize",
+           "chaos:materialize", nullptr, nullptr},
+      }} {
   const auto n_shards = static_cast<std::size_t>(cfg_.dispatch_shards);
   shards_.reserve(n_shards);
   for (std::size_t i = 0; i < n_shards; ++i)
@@ -113,8 +202,6 @@ void Service::submit(Request req, Callback done) {
   // events while a trace is actually recording.
   const bool sampled = req.trace_sampled && obs::trace_enabled();
   if (sampled) obs::trace_instant("req.admit", req.id);
-  auto slot = std::make_shared<ResponseSlot>();
-  slot->done = std::move(done);
   Response reject;
   reject.id = req.id;
   reject.mode = req.mode;
@@ -154,20 +241,21 @@ void Service::submit(Request req, Callback done) {
         if (!over_target && !misses_deadline) {
           backlog_.fetch_add(1, std::memory_order_relaxed);
           shard.queue.push_back(
-              Pending{std::move(req), std::move(slot), Clock::now()});
+              Pending{std::move(req),
+                      std::make_shared<ResponseSlot>(std::move(done)),
+                      Clock::now()});
           obs::MetricsRegistry::global().gauge("serve.queue_depth").set(
               static_cast<double>(depth + 1));
           shard.cv.notify_one();
           return;
         }
         total_queued_.fetch_sub(1, std::memory_order_relaxed);
-        reject.shed = misses_deadline && !over_target ? "shed:deadline"
-                                                      : "shed:overload";
+        const bool by_deadline = misses_deadline && !over_target;
+        reject.shed = by_deadline ? "shed:deadline" : "shed:overload";
         reject.error = "rejected: estimated queue wait " +
                        format_ms(est_wait_ms) + "ms exceeds " +
-                       (misses_deadline && !over_target
-                            ? "the request deadline"
-                            : "the admission target");
+                       (by_deadline ? "the request deadline"
+                                    : "the admission target");
       }
     }
   }
@@ -181,7 +269,7 @@ void Service::submit(Request req, Callback done) {
         .counter("serve." + std::string(reject.shed).replace(4, 1, "."))
         .inc();
   }
-  slot->deliver(reject);
+  done(reject);
 }
 
 std::future<Response> Service::submit(Request req) {
@@ -234,8 +322,7 @@ Service::Counters Service::counters() const {
   c.shed = shed_.load(std::memory_order_relaxed);
   c.retries = retried_.load(std::memory_order_relaxed);
   c.watchdog_killed = watchdog_killed_.load(std::memory_order_relaxed);
-  c.breaker_trips = feature_breaker_.trips() + inference_breaker_.trips() +
-                    regress_breaker_.trips() + materialize_breaker_.trips();
+  for (const Stage& st : stages_) c.breaker_trips += st.breaker.trips();
   return c;
 }
 
@@ -259,9 +346,9 @@ void Service::launch_batch(std::vector<Pending> batch) {
   total_queued_.fetch_sub(batch.size(), std::memory_order_relaxed);
   obs::MetricsRegistry::global().gauge("serve.queue_depth").set(
       static_cast<double>(total_queued_.load(std::memory_order_relaxed)));
-  auto shared = std::make_shared<std::vector<Pending>>(std::move(batch));
+  Batch shared = std::make_shared<const std::vector<Pending>>(std::move(batch));
   pool_.submit([this, shared] {
-    process_batch(*shared);
+    process_batch(shared);
     release_slot();
   });
 }
@@ -310,214 +397,145 @@ void Service::kill_overdue(Clock::time_point now) {
   // Only act when a pool worker is demonstrably stuck inside one task —
   // an overdue batch whose worker is still making progress across tasks
   // is latency, not a hang, and the breakers own that.
-  bool stuck = false;
-  for (const auto& hb : pool_.heartbeats())
-    if (hb.busy && hb.busy_s * 1e3 >= cfg_.watchdog_ms) {
-      stuck = true;
-      break;
-    }
-  if (!stuck) return;
+  if (std::ranges::none_of(pool_.heartbeats(), [&](const auto& hb) {
+        return hb.busy && hb.busy_s * 1e3 >= cfg_.watchdog_ms;
+      }))
+    return;
 
   std::vector<Inflight> victims;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-      if (ms_between(it->second.started, now) >= cfg_.watchdog_ms) {
-        victims.push_back(std::move(it->second));
-        it = inflight_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(inflight_, [&](const auto& entry) {
+      if (ms_between(entry.second.started, now) < cfg_.watchdog_ms)
+        return false;
+      victims.push_back(entry.second);
+      return true;
+    });
   }
   auto& registry_metrics = obs::MetricsRegistry::global();
-  for (auto& v : victims) {
-    for (std::size_t i = 0; i < v.slots.size(); ++i) {
-      Response r = v.skeletons[i];
-      r.ok = false;
+  for (const Inflight& v : victims) {
+    for (const Pending& p : *v.batch) {
+      if (!p.slot->claim()) continue;
+      Response r;
+      r.id = p.req.id;
+      r.mode = p.req.mode;
       r.error = "watchdog: batch exceeded the " + format_ms(cfg_.watchdog_ms) +
                 "ms budget (worker stuck); request failed cleanly";
       r.latency_ms = ms_between(v.started, now);
-      if (v.slots[i]->claim()) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        watchdog_killed_.fetch_add(1, std::memory_order_relaxed);
-        registry_metrics.counter("serve.watchdog.killed").inc();
-        registry_metrics.counter("serve.error").inc();
-        obs::log_warn("serve.watchdog.kill")
-            .kv("id", r.id)
-            .kv("batch_age_ms", r.latency_ms);
-        v.slots[i]->finish(r);
-      }
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      watchdog_killed_.fetch_add(1, std::memory_order_relaxed);
+      registry_metrics.counter("serve.watchdog.killed").inc();
+      registry_metrics.counter("serve.error").inc();
+      obs::log_warn("serve.watchdog.kill")
+          .kv("id", r.id)
+          .kv("batch_age_ms", r.latency_ms);
+      p.slot->done(r);
     }
   }
 }
 
-bool Service::resolve_features(Pending& item, Response& rsp,
-                               FeatureVector& features, RowSummary& summary,
-                               bool& has_summary, bool& csr_fallback,
-                               std::shared_ptr<const Csr<double>>* keep_view) {
-  has_summary = false;
-  csr_fallback = false;
-  const bool inline_features = !item.req.features.empty();
+bool Service::admit(Stage& st, Slot& s) {
+  if (st.breaker.allow(Clock::now())) return true;
+  fall(s, st.floor, st.open_reason, st.predict_open);
+  return false;
+}
+
+chaos::Fault Service::draw_fault(const Stage& st, Slot& s,
+                                 bool retry_corrupt) {
+  for (int attempt = 0;; ++attempt) {
+    const chaos::Fault fault =
+        chaos::hit(*st.site, chaos::with_attempt(s.identity, attempt));
+    const bool retryable =
+        fault.kind == chaos::FaultKind::kError ||
+        (retry_corrupt && fault.kind == chaos::FaultKind::kCorrupt);
+    if (!retryable || s.rsp.retries >= cfg_.max_retries) {
+      chaos::apply_latency(fault);
+      return fault;
+    }
+    ++s.rsp.retries;
+    retried_.fetch_add(1, std::memory_order_relaxed);
+    obs::MetricsRegistry::global().counter("serve.retries").inc();
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        kRetryBackoffMs * (attempt + 1)));
+  }
+}
+
+void Service::resolve_features(const Request& req, Slot& s) {
+  Stage& st = stages_[kFeatures];
+  const bool inline_features = !req.features.empty();
   if (inline_features)
-    std::copy(item.req.features.begin(), item.req.features.end(),
-              features.values.begin());
-  if (inline_features && keep_view == nullptr) return true;
-
-  if (inline_features) {
-    // Inline features + materialize: only the CSR master copy is needed,
-    // and it comes from the ingest cache — a repeat matrix costs zero
-    // parses (this path used to re-read the text file every request).
-    try {
-      *keep_view = ingest_.load(item.req.matrix_path).matrix;
-      return true;
-    } catch (const Error& e) {
-      rsp.ok = false;
-      rsp.error = std::string(error_category_name(e.category())) + ": " +
-                  e.what();
-      return false;
-    } catch (const std::exception& e) {
-      rsp.ok = false;
-      rsp.error = std::string("generic: ") + e.what();
-      return false;
-    }
-  }
-
-  if (!feature_breaker_.allow(Clock::now())) {
-    // Feature stage is down: walk to the bottom rung of the ladder
-    // instead of hammering it. CSR needs no features, so select and
-    // indirect stay answerable; predict has no floor to stand on.
-    if (item.req.mode == RequestMode::kPredict) {
-      rsp.ok = false;
-      rsp.error =
-          "unavailable: feature stage breaker open (predict has no "
-          "degradation floor)";
-      return false;
-    }
-    csr_fallback = true;
-    rsp.degraded = true;
-    rsp.degrade_reason = "breaker:features";
-    return false;
-  }
-
-  const std::uint64_t identity = request_identity(item.req);
+    std::copy(req.features.begin(), req.features.end(),
+              s.features.values.begin());
+  else if (!admit(st, s))
+    return;
   try {
+    if (inline_features) {
+      // A materialize request needs only the CSR master copy, and it
+      // comes from the ingest cache: a repeat matrix costs zero parses.
+      if (req.materialize) s.view = ingest_.load(req.matrix_path).matrix;
+      return;
+    }
     WallTimer stage_timer;
     // Chaos site cache_lookup: a failed cache shard fails open to a
     // miss — features are recomputed, never served stale or wrong.
-    bool cache_usable = true;
     const chaos::Fault cache_fault =
-        chaos::hit(chaos::Site::kCacheLookup, identity);
-    if (cache_fault) {
-      chaos::apply_latency(cache_fault);
-      if (cache_fault.kind != chaos::FaultKind::kLatency)
-        cache_usable = false;
-    }
+        chaos::hit(chaos::Site::kCacheLookup, s.identity);
+    chaos::apply_latency(cache_fault);
+    const bool cache_usable =
+        !cache_fault || cache_fault.kind == chaos::FaultKind::kLatency;
 
     // Zero-copy fast path: resolve the content key from the stat cache
     // (two stat() calls, no reads) and serve cached features without
-    // ever touching the matrix bytes. Warm repeat traffic does no file
-    // I/O at all on this route.
-    if (cache_usable) {
-      if (const auto key = ingest_.resolve_key(item.req.matrix_path)) {
-        if (std::optional<CachedFeatures> cached = cache_.get(*key)) {
-          features = cached->features;
-          summary = cached->summary;
-          rsp.cache_hit = true;
-          has_summary = true;
-          feature_breaker_.record(true, stage_timer.millis(), Clock::now());
-          if (keep_view != nullptr)
-            *keep_view = ingest_.load(item.req.matrix_path).matrix;
-          return true;
-        }
-      }
-    }
-
-    // Feature miss (or the cache is chaos-disabled): materialize the
-    // matrix through the ingest cache — LRU hit, sidecar bulk read, or
-    // text parse, whichever is cheapest — then extract.
+    // ever touching the matrix bytes.
+    std::optional<CachedFeatures> cached;
+    if (cache_usable)
+      if (const auto key = ingest_.resolve_key(req.matrix_path))
+        cached = cache_.get(*key);
+    bool ok = true;
     std::shared_ptr<const Csr<double>> view;
-    std::uint64_t content_key = 0;
-    {
-      MatrixCache::View loaded = ingest_.load(item.req.matrix_path);
+    if (!cached) {
+      // Feature miss (or the cache is chaos-disabled): materialize the
+      // matrix through the ingest cache — LRU hit, sidecar bulk read, or
+      // text parse, whichever is cheapest — then extract.
+      MatrixCache::View loaded = ingest_.load(req.matrix_path);
       view = std::move(loaded.matrix);
-      content_key = loaded.key;
+      if (cache_usable) cached = cache_.get(loaded.key);
+      if (!cached) {
+        // Chaos site feature_extract: corruption perturbs the extracted
+        // vector, which then never enters the cache.
+        const chaos::Fault fault = draw_fault(st, s, false);
+        ok = fault.kind != chaos::FaultKind::kError;
+        if (!ok) {
+          fall(s, st.floor, st.chaos_reason, st.predict_chaos);
+        } else {
+          // The pool workers cooperate on the blocked scan and the caller
+          // participates, so this is safe even though we ARE a worker.
+          s.features = extract_features(*view, &pool_);
+          s.summary = summarize(*view);
+          if (fault.kind == chaos::FaultKind::kCorrupt)
+            for (double& v : s.features.values) v = -v;
+          else
+            cache_.put(loaded.key, CachedFeatures{s.features, *s.summary});
+        }
+      }
     }
-    std::optional<CachedFeatures> cached =
-        cache_usable ? cache_.get(content_key) : std::nullopt;
     if (cached) {
-      features = cached->features;
-      summary = cached->summary;
-      rsp.cache_hit = true;
-    } else {
-      // Chaos site feature_extract: transient errors retry with
-      // backoff inside the per-request budget; corruption perturbs
-      // the extracted vector (and is never cached).
-      chaos::Fault fault{};
-      bool exhausted = false;
-      for (int attempt = 0;; ++attempt) {
-        fault = chaos::hit(chaos::Site::kFeatureExtract,
-                           chaos::with_attempt(identity, attempt));
-        if (fault) chaos::apply_latency(fault);
-        if (fault.kind != chaos::FaultKind::kError) break;
-        if (rsp.retries >= cfg_.max_retries) {
-          exhausted = true;
-          break;
-        }
-        ++rsp.retries;
-        retried_.fetch_add(1, std::memory_order_relaxed);
-        retries_counter().inc();
-        backoff_sleep(attempt, cfg_.retry_backoff_ms);
-      }
-      if (exhausted) {
-        feature_breaker_.record(false, stage_timer.millis(), Clock::now());
-        if (item.req.mode == RequestMode::kPredict) {
-          rsp.ok = false;
-          rsp.error =
-              "io: injected feature-extract fault persisted past the "
-              "retry budget";
-          return false;
-        }
-        csr_fallback = true;
-        rsp.degraded = true;
-        rsp.degrade_reason = "chaos:feature_extract";
-        if (keep_view != nullptr) *keep_view = std::move(view);
-        return false;
-      }
-      // In-batch parallel extraction: the pool workers cooperate on the
-      // blocked scan and the caller participates, so this is safe (and
-      // degrades to the serial scan) even though we ARE a pool worker.
-      features = extract_features(*view, &pool_);
-      summary = summarize(*view);
-      if (fault.kind == chaos::FaultKind::kCorrupt) {
-        // Corrupted extraction: every value off by a sign flip. The
-        // classifier still yields an in-range label (possibly a bad
-        // pick — chaos tests assert validity, not optimality) and the
-        // poisoned vector must never enter the cache.
-        for (double& v : features.values) v = -v;
-      } else {
-        cache_.put(content_key, CachedFeatures{features, summary});
-      }
+      s.features = cached->features;
+      s.summary = cached->summary;
+      s.rsp.cache_hit = true;
     }
-    has_summary = true;
-    feature_breaker_.record(true, stage_timer.millis(), Clock::now());
-    if (keep_view != nullptr) *keep_view = std::move(view);
-    return true;
-  } catch (const Error& e) {
-    feature_breaker_.record(false, 0.0, Clock::now());
-    rsp.ok = false;
-    rsp.error = std::string(error_category_name(e.category())) + ": " +
-                e.what();
-    return false;
+    st.breaker.record(ok, stage_timer.millis(), Clock::now());
+    if (req.materialize)
+      s.view = view != nullptr ? std::move(view)
+                               : ingest_.load(req.matrix_path).matrix;
   } catch (const std::exception& e) {
-    feature_breaker_.record(false, 0.0, Clock::now());
-    rsp.ok = false;
-    rsp.error = std::string("generic: ") + e.what();
-    return false;
+    if (!inline_features) st.breaker.record(false, 0.0, Clock::now());
+    fail(s, e);
   }
 }
 
-void Service::process_batch(std::vector<Pending>& batch) {
+void Service::process_batch(const Batch& shared) {
+  const std::vector<Pending>& batch = *shared;
   obs::TraceSpan span("serve.batch");
   span.arg("size", static_cast<std::uint64_t>(batch.size()));
   auto& registry_metrics = obs::MetricsRegistry::global();
@@ -531,509 +549,196 @@ void Service::process_batch(std::vector<Pending>& batch) {
   // below must be recoverable from outside this thread.
   std::uint64_t inflight_id = 0;
   if (cfg_.watchdog_ms > 0.0) {
-    Inflight rec;
-    rec.started = picked_up;
-    rec.slots.reserve(batch.size());
-    rec.skeletons.reserve(batch.size());
-    for (const Pending& p : batch) {
-      rec.slots.push_back(p.slot);
-      Response skeleton;
-      skeleton.id = p.req.id;
-      skeleton.mode = p.req.mode;
-      rec.skeletons.push_back(std::move(skeleton));
-    }
     std::lock_guard<std::mutex> lock(inflight_mu_);
     inflight_id = ++inflight_seq_;
-    inflight_.emplace(inflight_id, std::move(rec));
+    inflight_.emplace(inflight_id, Inflight{picked_up, shared});
   }
 
-  struct Slot {
-    Response rsp;
-    FeatureVector features;
-    RowSummary summary;
-    /// Borrowed ingest view, kept only for materialize requests. Pins
-    /// the CSR against cache eviction for the life of the batch.
-    std::shared_ptr<const Csr<double>> view;
-    bool has_summary = false;
-    bool live = false;         // resolved and awaiting predictions
-    bool indirect = false;     // gets the regressor pass
-    bool csr_fallback = false; // bottom rung: static CSR, no model pass
-  };
   std::vector<Slot> slots(batch.size());
-
-  // Per-batch stage breakdown: every request in the batch shares these
-  // (the stages run at batch granularity), reported as "stage_ms".
   const bool tracing = obs::trace_enabled();
-  double stage_features_ms = 0.0;
-  double stage_classify_ms = 0.0;
-  double stage_regress_ms = 0.0;
-  double stage_finalize_ms = 0.0;
+  const auto sampled = [&](std::size_t i) {
+    return tracing && batch[i].req.trace_sampled;
+  };
+  // The stage driver: one trace span and one wall timer per stage. The
+  // stages run at batch granularity, so every request in the batch
+  // reports the same per-stage times ("stage_ms").
+  double stage_ms[std::tuple_size_v<decltype(stages_)>] = {};
+  const auto run_stage = [&](StageId id, auto&& body) {
+    obs::TraceSpan stage_span(stages_[id].span);
+    WallTimer stage_timer;
+    body(stages_[id]);
+    stage_ms[id] = stage_timer.millis();
+  };
 
   // --- Stage 1: features (ingest + caches + Table II extraction). ---
-  {
-    obs::TraceSpan features_span("serve.features");
-    WallTimer stage_timer;
+  run_stage(kFeatures, [&](Stage&) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Slot& s = slots[i];
-      const bool sampled = tracing && batch[i].req.trace_sampled;
-      s.rsp.id = batch[i].req.id;
-      s.rsp.mode = batch[i].req.mode;
+      const Request& req = batch[i].req;
+      s.rsp.id = req.id;
+      s.rsp.mode = req.mode;
       s.rsp.batch = batch.size();
       s.rsp.queue_ms = ms_between(batch[i].enqueued, picked_up);
       registry_metrics.histogram("serve.queue_s", obs::default_latency_bounds_s())
           .observe(s.rsp.queue_ms / 1e3);
       // Queue wait started on the submitting thread and ended here, so
       // it is recorded retroactively.
-      if (sampled)
+      if (sampled(i))
         obs::trace_complete("req.queue", s.rsp.queue_ms * 1e3, s.rsp.id);
       if (bundle == nullptr) {
         s.rsp.error = "model-format: no model installed in the registry";
         continue;
       }
       s.rsp.model_version = bundle->version;
+      s.rung = req.mode == RequestMode::kSelect ? Rung::kDirect
+                                                : Rung::kIndirect;
+      s.identity =
+          chaos::identity_hash(!req.id.empty() ? req.id : req.matrix_path);
       WallTimer request_timer;
-      s.live = resolve_features(batch[i], s.rsp, s.features, s.summary,
-                                s.has_summary, s.csr_fallback,
-                                batch[i].req.materialize ? &s.view : nullptr);
-      if (sampled)
+      resolve_features(req, s);
+      if (sampled(i))
         obs::trace_complete("req.features", request_timer.millis() * 1e3,
                             s.rsp.id);
     }
-    stage_features_ms = stage_timer.millis();
-  }
+  });
 
   // --- Stage 2: one batched classifier pass over every live request. ---
   // The direct prediction is computed for all modes: select/predict use
-  // it directly, indirect keeps it as the degradation target. An open
-  // inference breaker sends select/indirect to the CSR rung wholesale.
-  if (bundle != nullptr) {
-    obs::TraceSpan classify_span("serve.classify");
-    WallTimer stage_timer;
-    const bool inference_up = inference_breaker_.allow(Clock::now());
+  // it directly, indirect keeps it as the rung to fall to.
+  run_stage(kClassify, [&](Stage& st) {
     ml::Matrix x;
     std::vector<std::size_t> rows;  // slot index per matrix row
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      Slot& s = slots[i];
-      if (!s.live || s.csr_fallback) continue;
-      if (!inference_up) {
-        if (batch[i].req.mode == RequestMode::kPredict) {
-          s.live = false;
-          s.rsp.error =
-              "unavailable: inference breaker open (predict has no "
-              "degradation floor)";
-          continue;
-        }
-        s.csr_fallback = true;
-        s.rsp.degraded = true;
-        s.rsp.degrade_reason = "breaker:inference";
-        continue;
-      }
-      x.push_back(s.features.select(bundle->selector->feature_set()));
+      if (slots[i].rung < Rung::kDirect || !admit(st, slots[i])) continue;
+      x.push_back(slots[i].features.select(bundle->selector->feature_set()));
       rows.push_back(i);
     }
-    if (!x.empty()) {
-      WallTimer classify_timer;
-      const std::vector<int> labels =
-          bundle->selector->classifier().predict_batch(x);
-      const double per_item_ms =
-          classify_timer.millis() / static_cast<double>(rows.size());
-      const auto candidates = bundle->selector->candidates();
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        Slot& s = slots[rows[k]];
-        const std::uint64_t identity = request_identity(batch[rows[k]].req);
-        // Chaos site inference: per-request faults over the batched
-        // result. Transient errors re-roll per attempt (the labels are
-        // already computed, so a "retry" costs only the draw); a fault
-        // that outlives the budget — or a corrupted label — degrades to
-        // CSR rather than ever serving an invalid selection.
-        chaos::Fault fault{};
-        for (int attempt = 0;; ++attempt) {
-          fault = chaos::hit(chaos::Site::kInference,
-                             chaos::with_attempt(identity, attempt));
-          if (fault.kind != chaos::FaultKind::kError ||
-              s.rsp.retries >= cfg_.max_retries)
-            break;
-          ++s.rsp.retries;
-          retried_.fetch_add(1, std::memory_order_relaxed);
-          retries_counter().inc();
-          backoff_sleep(attempt, cfg_.retry_backoff_ms);
-        }
-        if (fault) chaos::apply_latency(fault);
-        const bool injected = fault.kind == chaos::FaultKind::kError ||
-                              fault.kind == chaos::FaultKind::kCorrupt;
-        const int label = injected ? -1 : labels[k];
-        if (label < 0 || label >= static_cast<int>(candidates.size())) {
-          inference_breaker_.record(false, per_item_ms, Clock::now());
-          if (!injected) {
-            s.live = false;
-            s.rsp.error =
-                "model-format: classifier produced out-of-range label";
-            continue;
-          }
-          if (batch[rows[k]].req.mode == RequestMode::kPredict) {
-            s.live = false;
-            s.rsp.error =
-                "model-format: injected inference fault persisted past "
-                "the retry budget";
-            continue;
-          }
-          s.csr_fallback = true;
-          s.rsp.degraded = true;
-          s.rsp.degrade_reason = "chaos:inference";
-          continue;
-        }
-        inference_breaker_.record(true, per_item_ms, Clock::now());
-        s.rsp.predicted = candidates[static_cast<std::size_t>(label)];
-        s.rsp.format = s.rsp.predicted;
-        if (tracing && batch[rows[k]].req.trace_sampled)
-          obs::trace_instant("req.infer", s.rsp.id);
+    if (x.empty()) return;
+    WallTimer classify_timer;
+    const std::vector<int> labels =
+        bundle->selector->classifier().predict_batch(x);
+    const double per_item_ms =
+        classify_timer.millis() / static_cast<double>(rows.size());
+    const auto candidates = bundle->selector->candidates();
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      Slot& s = slots[rows[k]];
+      // Chaos site inference: per-request faults over the batched result
+      // (the labels are already computed, so a retry costs only the
+      // draw). A fault that stands — or a corrupted label — drops the
+      // request to CSR rather than ever serving an invalid selection.
+      const chaos::Fault fault = draw_fault(st, s, false);
+      const bool injected = fault.kind == chaos::FaultKind::kError ||
+                            fault.kind == chaos::FaultKind::kCorrupt;
+      const bool valid = !injected && labels[k] >= 0 &&
+                         labels[k] < static_cast<int>(candidates.size());
+      st.breaker.record(valid, per_item_ms, Clock::now());
+      if (injected) {
+        fall(s, st.floor, st.chaos_reason, st.predict_chaos);
+      } else if (!valid) {
+        s.rung = Rung::kFailed;
+        s.rsp.error = "model-format: classifier produced out-of-range label";
+      } else {
+        s.rsp.format = s.rsp.predicted =
+            candidates[static_cast<std::size_t>(labels[k])];
+        if (sampled(rows[k])) obs::trace_instant("req.infer", s.rsp.id);
       }
     }
-    stage_classify_ms = stage_timer.millis();
-  }
+  });
 
-  // --- Stage 3: feasibility + indirect/predict regressor pass. ---
-  if (bundle != nullptr) {
-    WallTimer stage_timer;
-    // Deadline triage first: an indirect request whose remaining budget
-    // cannot fit the (EWMA-estimated) regressor pass degrades to the
-    // direct prediction computed above. An open regress breaker does
-    // the same for the whole batch (first rung of the ladder).
-    const bool regress_up = regress_breaker_.allow(Clock::now());
-    const double est_ms = indirect_item_cost_ms_.load(std::memory_order_relaxed);
+  // --- Stage 3: the regressor pass for indirect and predict requests. ---
+  // Triage first: without regressors, with the regress breaker open, or
+  // when the remaining deadline cannot fit the (EWMA-estimated) pass, an
+  // indirect request falls to the direct prediction computed above.
+  run_stage(kRegress, [&](Stage& st) {
+    const double est_ms =
+        indirect_item_cost_ms_.load(std::memory_order_relaxed);
+    std::vector<std::size_t> rows;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       Slot& s = slots[i];
-      if (!s.live || s.csr_fallback) continue;
-      const RequestMode mode = batch[i].req.mode;
-      if (mode == RequestMode::kSelect) continue;
+      if (s.rung != Rung::kIndirect) continue;
       if (bundle->perf == nullptr) {
-        if (mode == RequestMode::kPredict) {
-          s.live = false;
-          s.rsp.error = "model-format: no perf model installed (predict "
-                        "needs --perf-model)";
-          continue;
-        }
-        s.rsp.degraded = true;  // indirect without regressors: direct pick
-        s.rsp.degrade_reason = "no_perf_model";
+        fall(s, Rung::kDirect, "no_perf_model",
+             "model-format: no perf model installed (predict needs "
+             "--perf-model)");
         continue;
       }
-      if (!regress_up) {
-        if (mode == RequestMode::kPredict) {
-          s.live = false;
-          s.rsp.error =
-              "unavailable: regress breaker open (predict has no "
-              "degradation floor)";
-          continue;
-        }
-        s.rsp.degraded = true;
-        s.rsp.degrade_reason = "breaker:regress";
-        continue;
-      }
-      if (mode != RequestMode::kIndirect) {
-        s.indirect = true;  // predict: always runs the regressors
-        continue;
-      }
+      if (!admit(st, s)) continue;
       const double deadline = batch[i].req.deadline_ms;
-      if (deadline > 0.0) {
-        const double elapsed = ms_between(batch[i].enqueued, Clock::now());
-        const double remaining = deadline - elapsed;
-        if (remaining <= 0.0 || remaining < est_ms) {
-          s.rsp.degraded = true;
-          s.rsp.degrade_reason = "deadline";
-          continue;
-        }
+      const double remaining =
+          deadline - ms_between(batch[i].enqueued, Clock::now());
+      if (s.rsp.mode == RequestMode::kIndirect && deadline > 0.0 &&
+          (remaining <= 0.0 || remaining < est_ms)) {
+        fall(s, Rung::kDirect, "deadline", nullptr);
+        continue;
       }
-      s.indirect = true;
+      rows.push_back(i);
     }
+    if (rows.empty()) return;
+    WallTimer regress_timer;
+    for (const std::size_t i : rows)
+      slots[i].rsp.predicted_us =
+          price_formats(*bundle->perf, slots[i].features);
+    const double per_item_ms =
+        regress_timer.millis() / static_cast<double>(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      st.breaker.record(true, per_item_ms, Clock::now());
+    const double prev = indirect_item_cost_ms_.load(std::memory_order_relaxed);
+    indirect_item_cost_ms_.store(
+        prev <= 0.0 ? per_item_ms : 0.8 * prev + 0.2 * per_item_ms,
+        std::memory_order_relaxed);
+  });
 
-    std::vector<std::size_t> regress_rows;
-    for (std::size_t i = 0; i < slots.size(); ++i)
-      if (slots[i].live && slots[i].indirect) regress_rows.push_back(i);
-    if (!regress_rows.empty()) {
-      obs::TraceSpan regress_span("serve.regress");
-      regress_span.arg("items", static_cast<std::uint64_t>(regress_rows.size()));
-      WallTimer regress_timer;
-      const auto formats = bundle->perf->formats();
-      for (const std::size_t i : regress_rows) {
-        Slot& s = slots[i];
-        s.rsp.predicted_us.reserve(formats.size());
-        for (const Format f : formats)
-          s.rsp.predicted_us.emplace_back(
-              f, bundle->perf->predict_seconds(s.features, f) * 1e6);
-      }
-      const double per_item_ms =
-          regress_timer.millis() / static_cast<double>(regress_rows.size());
-      for (std::size_t k = 0; k < regress_rows.size(); ++k)
-        regress_breaker_.record(true, per_item_ms, Clock::now());
-      double prev = indirect_item_cost_ms_.load(std::memory_order_relaxed);
-      const double next = prev <= 0.0 ? per_item_ms
-                                      : 0.8 * prev + 0.2 * per_item_ms;
-      indirect_item_cost_ms_.store(next, std::memory_order_relaxed);
-    }
-    stage_regress_ms = stage_timer.millis();
-  }
-
-  // --- Stage 4: per-request finalization (feasibility + argmin). ---
+  // --- Stage 4: finalization (feasibility, argmin, materialize). ---
   // Replies are delivered in a separate pass below, after the admission
   // cost EWMA is updated: a caller woken by its response must observe a
   // backlog estimate that already accounts for this batch.
-  std::vector<char> counted(batch.size(), 0);  // select_feasible() bumps
-                                               // serve.select itself
-  WallTimer finalize_timer;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot& s = slots[i];
-    Pending& item = batch[i];
-    if (s.live || s.csr_fallback) {
+  run_stage(kFinalize, [&](Stage&) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      Slot& s = slots[i];
+      const Request& req = batch[i].req;
+      if (s.rung == Rung::kFailed) continue;
       s.rsp.ok = true;
-      if (s.csr_fallback) {
-        // Bottom rung: CSR is the universal floor — valid for every
-        // matrix, needs no model and no features.
-        s.rsp.format = Format::kCsr;
-        s.rsp.predicted = Format::kCsr;
-        s.rsp.fallback = false;
-      }
-      const double budget_gb = item.req.mem_budget_gb > 0.0
-                                   ? item.req.mem_budget_gb
-                                   : cfg_.mem_budget_gb;
+      // CSR is the universal floor: valid for every matrix, needs no
+      // model and no features.
+      if (s.rung == Rung::kCsr) s.rsp.format = s.rsp.predicted = Format::kCsr;
+      const double budget_gb =
+          req.mem_budget_gb > 0.0 ? req.mem_budget_gb : cfg_.mem_budget_gb;
       FeasibilityFn feasible;
-      if (budget_gb > 0.0 && s.has_summary)
+      if (budget_gb > 0.0 && s.summary)
         feasible = make_memory_feasibility(
-            s.summary, cfg_.precision,
+            *s.summary, cfg_.precision,
             static_cast<std::int64_t>(budget_gb * 1e9));
-
       try {
-        if (s.live && item.req.mode == RequestMode::kIndirect && s.indirect) {
-          // Argmin of predicted times over feasible formats.
-          const auto formats = bundle->perf->formats();
-          double best = 0.0;
-          bool found = false;
-          Format best_unconstrained = s.rsp.predicted_us.front().first;
-          double best_unconstrained_us =
-              s.rsp.predicted_us.front().second;
-          for (const auto& [f, us] : s.rsp.predicted_us) {
-            if (us < best_unconstrained_us) {
-              best_unconstrained = f;
-              best_unconstrained_us = us;
-            }
-            if (feasible && !feasible(f)) continue;
-            if (!found || us < best) {
-              best = us;
-              s.rsp.format = f;
-              found = true;
-            }
-          }
-          s.rsp.predicted = best_unconstrained;
-          if (!found) {
-            // Nothing feasible: CSR floor, mirroring select_feasible.
-            SPMVML_ENSURE_CAT(
-                std::find(formats.begin(), formats.end(), Format::kCsr) !=
-                    formats.end(),
-                ErrorCategory::kInfeasibleFormat,
-                "no modeled format is feasible under the memory budget");
-            s.rsp.format = Format::kCsr;
-          }
+        if (s.rung == Rung::kIndirect && req.mode == RequestMode::kIndirect) {
+          // Argmin of predicted times over feasible formats; nothing
+          // feasible lands on the CSR floor, mirroring select_feasible.
+          const PricedFormats& priced = s.rsp.predicted_us;
+          const auto* pick = cheapest(priced, feasible);
+          const auto is_csr = [](const auto& p) {
+            return p.first == Format::kCsr;
+          };
+          SPMVML_ENSURE_CAT(
+              pick != nullptr || std::ranges::any_of(priced, is_csr),
+              ErrorCategory::kInfeasibleFormat,
+              "no modeled format is feasible under the memory budget");
+          s.rsp.predicted = cheapest(priced)->first;
+          s.rsp.format = pick != nullptr ? pick->first : Format::kCsr;
           s.rsp.fallback = s.rsp.format != s.rsp.predicted;
-        } else if (s.live && item.req.mode != RequestMode::kPredict) {
-          // Direct classifier result (select, or degraded indirect).
-          if (feasible) {
-            const Selection sel =
-                bundle->selector->select_feasible(s.features, feasible);
-            s.rsp.predicted = sel.predicted;
-            s.rsp.format = sel.format;
-            s.rsp.fallback = sel.fallback;
-            counted[i] = 1;
-          }
+        } else if (s.rung == Rung::kDirect && feasible) {
+          const Selection sel =
+              bundle->selector->select_feasible(s.features, feasible);
+          s.rsp.predicted = sel.predicted;
+          s.rsp.format = sel.format;
+          s.rsp.fallback = sel.fallback;
+          s.counted = true;
         }
-        if (item.req.materialize && s.view != nullptr) {
-          if (!materialize_breaker_.allow(Clock::now())) {
-            // Conversion stage down: the selection is still served, the
-            // caller just builds the format itself.
-            s.rsp.degraded = true;
-            if (s.rsp.degrade_reason.empty())
-              s.rsp.degrade_reason = "breaker:materialize";
-          } else {
-            // Chaos site materialize: transient conversion faults retry
-            // with backoff; exhaustion keeps the response valid with
-            // materialized=false.
-            const std::uint64_t identity = request_identity(item.req);
-            chaos::Fault fault{};
-            bool exhausted = false;
-            for (int attempt = 0;; ++attempt) {
-              fault = chaos::hit(chaos::Site::kMaterialize,
-                                 chaos::with_attempt(identity, attempt));
-              if (fault) chaos::apply_latency(fault);
-              if (fault.kind != chaos::FaultKind::kError &&
-                  fault.kind != chaos::FaultKind::kCorrupt)
-                break;
-              if (s.rsp.retries >= cfg_.max_retries) {
-                exhausted = true;
-                break;
-              }
-              ++s.rsp.retries;
-              retried_.fetch_add(1, std::memory_order_relaxed);
-              retries_counter().inc();
-              backoff_sleep(attempt, cfg_.retry_backoff_ms);
-            }
-            if (exhausted) {
-              materialize_breaker_.record(false, 0.0, Clock::now());
-              s.rsp.degraded = true;
-              if (s.rsp.degrade_reason.empty())
-                s.rsp.degrade_reason = "chaos:materialize";
-            } else {
-              // One conversion arena per worker thread: a stream of
-              // requests reuses its buffers, so the steady-state
-              // conversion performs no heap allocation. The borrowed
-              // view is read-only; the arena copies what it needs.
-              thread_local ConversionArena<double> arena;
-              WallTimer materialize_timer;
-              WallTimer convert_timer;
-              const AnyMatrix<double>& built =
-                  arena.convert(s.rsp.format, *s.view);
-              s.rsp.convert_ms = convert_timer.millis();
-              s.rsp.format_bytes = built.bytes();
-              s.rsp.materialized = true;
-              materialize_breaker_.record(true, s.rsp.convert_ms,
-                                          Clock::now());
-              registry_metrics
-                  .counter(std::string("serve.materialize.") +
-                           format_name(s.rsp.format))
-                  .inc();
-
-              // Prediction scorecard: this is the one place the service
-              // holds both the model's opinion and a real, just-built
-              // format — run one SpMV on it and ledger predicted vs
-              // measured. The x/y vectors are thread_local like the
-              // arena, so steady state allocates nothing.
-              thread_local std::vector<double> spmv_x, spmv_y;
-              spmv_x.assign(static_cast<std::size_t>(s.view->cols()), 1.0);
-              spmv_y.assign(static_cast<std::size_t>(s.view->rows()), 0.0);
-              WallTimer spmv_timer;
-              built.spmv(spmv_x, spmv_y);
-              // Clamp: a sub-resolution measurement must not produce an
-              // infinite GFLOPS figure.
-              const double spmv_s = std::max(spmv_timer.seconds(), 1e-9);
-              s.rsp.spmv_ms = spmv_s * 1e3;
-              const double flops = 2.0 * static_cast<double>(s.view->nnz());
-              s.rsp.measured_gflops = flops / spmv_s / 1e9;
-
-              ScorecardEntry entry;
-              entry.features_hash = features_fingerprint(s.features.values);
-              entry.features = s.features.values;
-              entry.chosen = s.rsp.format;
-              entry.predicted_best = s.rsp.format;
-              entry.measured_gflops = s.rsp.measured_gflops;
-              entry.model_version = s.rsp.model_version;
-              // Per-format predicted times: reuse the regressor pass when
-              // stage 3 ran it, otherwise price the formats here (the
-              // conversion+SpMV just done dwarfs this pass).
-              std::vector<std::pair<Format, double>> predicted_us =
-                  s.rsp.predicted_us;
-              if (predicted_us.empty() && bundle->perf != nullptr)
-                for (const Format f : bundle->perf->formats())
-                  predicted_us.emplace_back(
-                      f,
-                      bundle->perf->predict_seconds(s.features, f) * 1e6);
-              if (!predicted_us.empty()) {
-                double chosen_us = 0.0;
-                double best_us = 0.0;
-                for (const auto& [f, us] : predicted_us) {
-                  if (f == s.rsp.format) chosen_us = us;
-                  if (best_us <= 0.0 || us < best_us) {
-                    best_us = us;
-                    entry.predicted_best = f;
-                  }
-                }
-                if (chosen_us > 0.0) {
-                  entry.predicted_gflops = flops / (chosen_us * 1e-6) / 1e9;
-                  s.rsp.predicted_gflops = entry.predicted_gflops;
-                  if (best_us > 0.0)
-                    entry.regret = chosen_us / best_us - 1.0;
-                }
-              }
-              scorecard_.record(entry);
-
-              // Shadow probe (learning mode only): convert and time ONE
-              // extra format so the replay buffer accumulates per-format
-              // measured truth — the labels the retraining loop needs.
-              // The probe entry rides the scorecard ring flagged
-              // probe=true (excluded from the traffic aggregates) and
-              // never touches the served response.
-              if (trainer_ != nullptr) {
-                const auto probe_formats =
-                    bundle->perf != nullptr
-                        ? bundle->perf->formats()
-                        : bundle->selector->candidates();
-                if (probe_formats.size() > 1) {
-                  // Mix the matrix fingerprint into the rotation: a bare
-                  // counter resonates with cyclic traffic (N matrices
-                  // polled round-robin with N divisible by the format
-                  // count probes the SAME format for a given matrix
-                  // forever), leaving whole formats unmeasured on a
-                  // regime. Hashing decorrelates the probe choice from
-                  // the arrival pattern while staying deterministic for
-                  // a fixed request order.
-                  const std::uint64_t pseq = hash_combine(
-                      entry.features_hash,
-                      probe_seq_.fetch_add(1, std::memory_order_relaxed));
-                  Format probe_fmt =
-                      probe_formats[pseq % probe_formats.size()];
-                  if (probe_fmt == s.rsp.format)
-                    probe_fmt =
-                        probe_formats[(pseq + 1) % probe_formats.size()];
-                  if (probe_fmt != s.rsp.format &&
-                      (!feasible || feasible(probe_fmt))) {
-                    try {
-                      WallTimer probe_total;
-                      const AnyMatrix<double>& probe_built =
-                          arena.convert(probe_fmt, *s.view);
-                      spmv_x.assign(
-                          static_cast<std::size_t>(s.view->cols()), 1.0);
-                      spmv_y.assign(
-                          static_cast<std::size_t>(s.view->rows()), 0.0);
-                      WallTimer probe_timer;
-                      probe_built.spmv(spmv_x, spmv_y);
-                      const double probe_s =
-                          std::max(probe_timer.seconds(), 1e-9);
-                      ScorecardEntry probe = entry;
-                      probe.probe = true;
-                      probe.chosen = probe_fmt;
-                      probe.measured_gflops = flops / probe_s / 1e9;
-                      probe.predicted_gflops = 0.0;
-                      probe.regret = 0.0;
-                      for (const auto& [f, us] : predicted_us)
-                        if (f == probe_fmt && us > 0.0)
-                          probe.predicted_gflops =
-                              flops / (us * 1e-6) / 1e9;
-                      scorecard_.record(probe);
-                      if (tracing && item.req.trace_sampled)
-                        obs::trace_complete("req.probe",
-                                            probe_total.millis() * 1e3,
-                                            s.rsp.id);
-                    } catch (const Error&) {
-                      // A probe that cannot convert is just a missing
-                      // measurement; the response is already complete.
-                      obs::MetricsRegistry::global()
-                          .counter("serve.probe.failed")
-                          .inc();
-                    }
-                  }
-                }
-              }
-              if (tracing && item.req.trace_sampled)
-                obs::trace_complete("req.materialize",
-                                    materialize_timer.millis() * 1e3,
-                                    s.rsp.id);
-            }
-          }
-        }
-      } catch (const Error& e) {
-        s.rsp.ok = false;
-        s.rsp.error = std::string(error_category_name(e.category())) + ": " +
-                      e.what();
+        if (req.materialize && s.view != nullptr)
+          materialize(req, s, *bundle, feasible);
+      } catch (const std::exception& e) {
+        fail(s, e);
       }
     }
-  }
-  stage_finalize_ms = finalize_timer.millis();
+  });
 
   // Admission shedding feeds on the measured per-item batch cost. Updated
   // before delivery: once a caller sees its response, the next submit()
@@ -1044,31 +749,27 @@ void Service::process_batch(std::vector<Pending>& batch) {
   const double per_item_ms =
       ms_between(picked_up, Clock::now()) / static_cast<double>(batch.size());
   const double prev = batch_item_cost_ms_.load(std::memory_order_relaxed);
-  double next = per_item_ms;
-  if (prev > 0.0) {
-    const double alpha = per_item_ms < prev ? 0.5 : 0.2;
-    next = (1.0 - alpha) * prev + alpha * per_item_ms;
-  }
-  batch_item_cost_ms_.store(next, std::memory_order_relaxed);
+  const double alpha = per_item_ms < prev ? 0.5 : 0.2;
+  batch_item_cost_ms_.store(
+      prev > 0.0 ? (1.0 - alpha) * prev + alpha * per_item_ms : per_item_ms,
+      std::memory_order_relaxed);
   backlog_.fetch_sub(batch.size(), std::memory_order_relaxed);
 
   // --- Stage 5: reply + per-response accounting. ---
   for (std::size_t i = 0; i < slots.size(); ++i) {
     Slot& s = slots[i];
-    Pending& item = batch[i];
+    const Pending& item = batch[i];
     s.rsp.latency_ms = ms_between(item.enqueued, Clock::now());
     s.rsp.has_stage_ms = true;  // to_json only renders it on ok responses
-    s.rsp.stage_features_ms = stage_features_ms;
-    s.rsp.stage_classify_ms = stage_classify_ms;
-    s.rsp.stage_regress_ms = stage_regress_ms;
-    s.rsp.stage_finalize_ms = stage_finalize_ms;
-    if (tracing && item.req.trace_sampled)
+    for (std::size_t k = 0; k < stages_.size(); ++k)
+      s.rsp.*stages_[k].ms = stage_ms[k];
+    if (sampled(i))
       obs::trace_complete("req.done", s.rsp.latency_ms * 1e3, s.rsp.id);
     if (!item.slot->claim()) continue;  // watchdog got there first
-    // Account before invoking the callback: the moment finish() runs,
+    // Account before invoking the callback: the moment done() runs,
     // the caller may wake and read counters(), which must already
     // include this request.
-    if (s.rsp.ok && !counted[i] && item.req.mode != RequestMode::kPredict)
+    if (s.rsp.ok && !s.counted && item.req.mode != RequestMode::kPredict)
       registry_metrics
           .counter(std::string("serve.select.") + format_name(s.rsp.format))
           .inc();
@@ -1086,13 +787,125 @@ void Service::process_batch(std::vector<Pending>& batch) {
         .observe(s.rsp.latency_ms / 1e3);
     served_.fetch_add(1, std::memory_order_relaxed);
     registry_metrics.counter("serve.requests").inc();
-    item.slot->finish(s.rsp);
+    item.slot->done(s.rsp);
   }
 
   if (inflight_id != 0) {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     inflight_.erase(inflight_id);
   }
+}
+
+void Service::materialize(const Request& req, Slot& s,
+                          const ModelBundle& bundle,
+                          const FeasibilityFn& feasible) {
+  Stage& st = stages_[kFinalize];
+  // Conversion stage down, or a conversion fault (corruption included)
+  // that outlives the retry budget: the selection is still served and
+  // the caller builds the format itself.
+  if (!admit(st, s)) return;
+  const chaos::Fault fault = draw_fault(st, s, true);
+  if (fault.kind == chaos::FaultKind::kError ||
+      fault.kind == chaos::FaultKind::kCorrupt) {
+    st.breaker.record(false, 0.0, Clock::now());
+    fall(s, st.floor, st.chaos_reason, st.predict_chaos);
+    return;
+  }
+  // One conversion arena per worker thread: a stream of requests reuses
+  // its buffers, so the steady-state conversion performs no heap
+  // allocation. The borrowed view is read-only; the arena copies what
+  // it needs.
+  thread_local ConversionArena<double> arena;
+  WallTimer materialize_timer;  // conversion, then the whole stage
+  const AnyMatrix<double>& built = arena.convert(s.rsp.format, *s.view);
+  s.rsp.convert_ms = materialize_timer.millis();
+  s.rsp.format_bytes = built.bytes();
+  s.rsp.materialized = true;
+  st.breaker.record(true, s.rsp.convert_ms, Clock::now());
+  obs::MetricsRegistry::global()
+      .counter(std::string("serve.materialize.") + format_name(s.rsp.format))
+      .inc();
+
+  // Prediction scorecard: this is the one place the service holds both
+  // the model's opinion and a real, just-built format — run one SpMV on
+  // it and ledger predicted vs measured.
+  const double spmv_s = time_spmv(built, *s.view);
+  s.rsp.spmv_ms = spmv_s * 1e3;
+  const double flops = 2.0 * static_cast<double>(s.view->nnz());
+  s.rsp.measured_gflops = flops / spmv_s / 1e9;
+
+  ScorecardEntry entry{
+      .features_hash = features_fingerprint(s.features.values),
+      .features = s.features.values,
+      .chosen = s.rsp.format,
+      .predicted_best = s.rsp.format,
+      .measured_gflops = s.rsp.measured_gflops,
+      .model_version = s.rsp.model_version};
+  // Per-format predicted times: reuse the regressor pass when stage 3
+  // ran it, otherwise price the formats here (the conversion+SpMV just
+  // done dwarfs this pass).
+  PricedFormats repriced;
+  const PricedFormats& priced =
+      !s.rsp.predicted_us.empty() || bundle.perf == nullptr
+          ? s.rsp.predicted_us
+          : (repriced = price_formats(*bundle.perf, s.features));
+  if (const auto* best = cheapest(priced)) {
+    entry.predicted_best = best->first;
+    entry.predicted_gflops = priced_gflops(priced, s.rsp.format, flops);
+    s.rsp.predicted_gflops = entry.predicted_gflops;
+    for (const auto& [f, us] : priced)
+      if (f == s.rsp.format && us > 0.0 && best->second > 0.0)
+        entry.regret = us / best->second - 1.0;
+  }
+  scorecard_.record(entry);
+
+  // Shadow probe (learning mode only): convert and time ONE extra format
+  // so the replay buffer accumulates per-format measured truth — the
+  // labels the retraining loop needs. The probe entry rides the
+  // scorecard ring flagged probe=true (excluded from the traffic
+  // aggregates) and never touches the served response.
+  const bool sampled = req.trace_sampled && obs::trace_enabled();
+  const auto probe_formats = bundle.perf != nullptr
+                                 ? bundle.perf->formats()
+                                 : bundle.selector->candidates();
+  if (trainer_ != nullptr && probe_formats.size() > 1) {
+    // Mix the matrix fingerprint into the rotation: a bare counter
+    // resonates with cyclic traffic (N matrices polled round-robin with
+    // N divisible by the format count probes the SAME format for a given
+    // matrix forever), leaving whole formats unmeasured on a regime.
+    // Hashing decorrelates the probe choice from the arrival pattern
+    // while staying deterministic for a fixed request order.
+    const std::uint64_t pseq =
+        hash_combine(entry.features_hash,
+                     probe_seq_.fetch_add(1, std::memory_order_relaxed));
+    Format probe_fmt = probe_formats[pseq % probe_formats.size()];
+    if (probe_fmt == s.rsp.format)
+      probe_fmt = probe_formats[(pseq + 1) % probe_formats.size()];
+    if (probe_fmt != s.rsp.format && (!feasible || feasible(probe_fmt))) {
+      try {
+        WallTimer probe_timer;
+        const double probe_s =
+            time_spmv(arena.convert(probe_fmt, *s.view), *s.view);
+        ScorecardEntry probe = entry;
+        probe.probe = true;
+        probe.chosen = probe_fmt;
+        probe.measured_gflops = flops / probe_s / 1e9;
+        probe.predicted_gflops = priced_gflops(priced, probe_fmt, flops);
+        probe.regret = 0.0;
+        scorecard_.record(probe);
+        if (sampled)
+          obs::trace_complete("req.probe", probe_timer.millis() * 1e3,
+                              s.rsp.id);
+      } catch (const Error&) {
+        // A probe that cannot convert is just a missing measurement; the
+        // response is already complete.
+        obs::MetricsRegistry::global().counter("serve.probe.failed").inc();
+      }
+    }
+  }
+  if (sampled)
+    obs::trace_complete("req.materialize", materialize_timer.millis() * 1e3,
+                        s.rsp.id);
 }
 
 }  // namespace spmvml::serve

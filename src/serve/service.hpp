@@ -31,26 +31,35 @@
 // coalescing. A repeat request costs two stat() calls and two hash-map
 // lookups; the text parse happens once per distinct file content.
 //
-// Deadlines: a request may carry deadline_ms. Indirect selection costs a
-// regressor pass per modeled format; when the measured per-item cost
-// (EWMA over past batches) no longer fits in the remaining budget — or
-// the deadline has already expired in the queue — the request degrades
-// to the direct classifier instead of missing the deadline entirely.
+// The serving ladder: every request stands on one Rung, chosen by its
+// mode, and only ever falls:
 //
-// Degradation ladder (each rung is guarded by a circuit breaker and by
-// chaos-injected faults with a bounded retry budget):
+//   indirect (argmin of regressors; predict rides this rung too)
+//     └─> direct classifier    (regress stage down / no perf model /
+//           │                   deadline too close for the regressors)
+//           └─> static CSR     (feature or inference stage down; CSR
+//                 │             needs no model and no features, so the
+//                 │             selection is always valid)
+//                 └─> failed   (errors; predict has no floor below its
+//                               own rung, so any fall fails it)
 //
-//   indirect (argmin of regressors)
-//     └─> direct classifier          (regress breaker open / deadline)
-//           └─> static CSR fallback  (feature or inference stage down;
-//                                     CSR needs no model and no features,
-//                                     so the selection is always valid)
+// The batch runs four stages — features, classify, regress, finalize
+// (feasibility, argmin, materialize) — described by one table row each:
+// name, circuit breaker, chaos site, fallback rung and the response's
+// stage_*_ms field. One driver applies the cross-cutting concerns from
+// the row: the breaker gate (an open breaker drops the request to the
+// row's rung), chaos draws with a bounded per-request retry budget, the
+// trace span, the stage timer and the breaker outcome. Materialize's row
+// keeps the rung: a failed conversion still serves the selection,
+// unbuilt. Deadlines: when the measured per-item regressor cost (EWMA
+// over past batches) no longer fits an indirect request's remaining
+// budget, it falls to the direct rung instead of missing the deadline.
 //
 // A watchdog thread (enabled by watchdog_ms > 0) reads the pool's
 // per-worker heartbeats; when a worker has been inside one task longer
 // than the budget, every overdue in-flight batch has its undelivered
-// requests failed cleanly. Responses are delivered through a
-// compare-and-swap slot, so a stuck worker that eventually finishes
+// requests failed cleanly. Responses are delivered through a once-only
+// slot (an atomic exchange), so a stuck worker that eventually finishes
 // becomes a no-op instead of a double callback.
 //
 // Hot-swap: each batch pins the registry's current bundle once; a swap
@@ -59,6 +68,7 @@
 // across any number of swaps and evictions.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -69,21 +79,28 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/chaos/chaos.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/arch.hpp"
 #include "learn/trainer.hpp"
 #include "serve/breaker.hpp"
 #include "serve/feature_cache.hpp"
 #include "serve/matrix_cache.hpp"
-#include "sparse/csr.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/request.hpp"
 #include "serve/scorecard.hpp"
 
 namespace spmvml::serve {
+
+/// Rungs of the serving ladder, lowest first.
+enum class Rung : int { kFailed = 0, kCsr = 1, kDirect = 2, kIndirect = 3 };
+
+/// One request's state inside a batch (defined in service.cpp).
+struct Slot;
 
 struct ServiceConfig {
   /// Batch-inference workers (thread pool size), clamped to >= 1.
@@ -93,15 +110,12 @@ struct ServiceConfig {
   /// Admission control: pending requests beyond this are rejected.
   /// The capacity is global across dispatch shards.
   std::size_t queue_capacity = 256;
-  /// Feature-cache entries (0 disables the cache) and shard count.
+  /// Feature-cache entries (0 disables the cache).
   std::size_t cache_capacity = 512;
-  int cache_shards = 8;
   /// Materialized-matrix ingest cache: byte budget for parsed CSR
   /// instances (serve --ingest-cache-mb; 0 disables caching, every load
-  /// re-parses but single-flight coalescing still applies) and its LRU
-  /// shard count.
+  /// re-parses but single-flight coalescing still applies).
   std::size_t ingest_cache_bytes = 256ull << 20;
-  int ingest_cache_shards = 8;
   /// Dispatch shards (serve --shards): independent pending queues and
   /// dispatcher threads; submit round-robins across them. 1 = a single
   /// dispatcher.
@@ -121,8 +135,6 @@ struct ServiceConfig {
   double admission_target_ms = 0.0;
   /// Per-request transient-fault retry budget (all stages combined).
   int max_retries = 2;
-  /// Linear backoff between retries of a faulted stage.
-  double retry_backoff_ms = 0.5;
   /// Watchdog budget: when > 0, a batch in flight longer than this while
   /// a pool worker is stuck inside one task has its requests failed
   /// cleanly. 0 disables the watchdog thread entirely.
@@ -187,23 +199,14 @@ class Service {
   using Clock = std::chrono::steady_clock;
 
   /// Once-only response delivery: the batch worker and the watchdog race
-  /// benignly for the same slot; the CAS guarantees exactly one wins.
+  /// benignly for the same slot; the exchange guarantees exactly one wins.
   struct ResponseSlot {
     Callback done;
     std::atomic<bool> delivered{false};
     /// Win the right to respond (worker vs. watchdog race). The winner
-    /// must account *before* finish(): once the callback runs, the
-    /// caller may read Service::counters() and must see this request.
-    bool claim() {
-      bool expected = false;
-      return delivered.compare_exchange_strong(expected, true);
-    }
-    void finish(const Response& r) { done(r); }
-    bool deliver(const Response& r) {
-      if (!claim()) return false;
-      finish(r);
-      return true;
-    }
+    /// must account *before* calling done(): once the callback runs,
+    /// the caller may read Service::counters() and must see this request.
+    bool claim() { return !delivered.exchange(true); }
   };
 
   struct Pending {
@@ -221,12 +224,13 @@ class Service {
     std::thread dispatcher;  // started in the Service constructor body
   };
 
-  /// Watchdog view of one in-flight batch: enough to fail its requests
-  /// without touching the worker's state.
+  /// Watchdog view of one in-flight batch. The batch is shared
+  /// read-only, so the watchdog fails its requests without touching the
+  /// worker's state.
+  using Batch = std::shared_ptr<const std::vector<Pending>>;
   struct Inflight {
     Clock::time_point started;
-    std::vector<std::shared_ptr<ResponseSlot>> slots;
-    std::vector<Response> skeletons;  // id/mode prefilled
+    Batch batch;
   };
 
   void dispatcher_loop(std::size_t shard_index);
@@ -237,18 +241,39 @@ class Service {
   void release_slot();
   /// Run a batch on the pool; the caller has claimed its slot.
   void launch_batch(std::vector<Pending> batch);
-  void process_batch(std::vector<Pending>& batch);
+  void process_batch(const Batch& shared);
   void watchdog_loop();
   void kill_overdue(Clock::time_point now);
-  /// Resolve features (+ digest when a matrix is available) for one
-  /// request. Returns false after recording an error in `rsp` OR after
-  /// putting the request on the static-CSR rung (`csr_fallback`). When
-  /// `keep_view` is non-null (materialize requests) a borrowed ingest
-  /// view of the CSR is stored into it for the stage-4 arena conversion.
-  bool resolve_features(Pending& item, Response& rsp, FeatureVector& features,
-                        RowSummary& summary, bool& has_summary,
-                        bool& csr_fallback,
-                        std::shared_ptr<const Csr<double>>* keep_view);
+  /// Stage 1 for one request: features (and the row digest when the
+  /// matrix is scanned) from inline values, the feature cache or an
+  /// extraction. A materialize request also keeps a borrowed ingest
+  /// view of the CSR for the stage-4 conversion.
+  void resolve_features(const Request& req, Slot& s);
+  /// Stage 4's conversion, timed SpMV, scorecard entry and shadow probe.
+  void materialize(const Request& req, Slot& s, const ModelBundle& bundle,
+                   const FeasibilityFn& feasible);
+
+  /// One row of the stage table.
+  struct Stage {
+    const char* span;                 // trace span name
+    CircuitBreaker breaker;           // named after the stage
+    std::optional<chaos::Site> site;  // retryable chaos site, if any
+    Rung floor;                       // where a request falls when down
+    double Response::*ms;             // the response's stage_*_ms field
+    const char* open_reason;          // "breaker:<name>"
+    const char* chaos_reason;         // "chaos:<site>"
+    const char* predict_open;   // predict's error when the breaker is open
+    const char* predict_chaos;  // ... when a fault outlives the budget
+  };
+  enum StageId : std::size_t { kFeatures, kClassify, kRegress, kFinalize };
+
+  /// The driver's per-request gate: false, after dropping the request to
+  /// the stage's floor, when the stage's breaker is open.
+  bool admit(Stage& st, Slot& s);
+  /// The stage's chaos draw for one request: transient errors (and, when
+  /// `retry_corrupt`, corruption) re-roll within the request's retry
+  /// budget with linear backoff. Returns the fault that stands.
+  chaos::Fault draw_fault(const Stage& st, Slot& s, bool retry_corrupt);
 
   ServiceConfig cfg_;
   ModelRegistry& registry_;
@@ -257,10 +282,8 @@ class Service {
   Scorecard scorecard_;
   ThreadPool pool_;
 
-  CircuitBreaker feature_breaker_;
-  CircuitBreaker inference_breaker_;
-  CircuitBreaker regress_breaker_;
-  CircuitBreaker materialize_breaker_;
+  /// The stage table, indexed by StageId (rows in service.cpp).
+  std::array<Stage, 4> stages_;
 
   /// Constructed only when cfg_.learn.enabled; declared after the pool
   /// and scorecard it references so it is destroyed first (shutdown()

@@ -432,8 +432,12 @@ TEST(IngestService, ShardedDispatchAnswersEveryRequest) {
     ASSERT_TRUE(rsp.ok) << rsp.error;
     EXPECT_EQ(rsp.format, expect);
   }
-  // The whole burst re-parsed the matrix at most once.
-  EXPECT_EQ(service.ingest().stats().parses, 1u);
+  // The whole burst re-parsed the matrix at most once. The cache's
+  // counters ride along so a failure shows how the loads were served.
+  const auto stats = service.ingest().stats();
+  EXPECT_EQ(stats.parses, 1u)
+      << "parses " << stats.parses << ", coalesced " << stats.coalesced << ", hits " << stats.hits
+      << ", misses " << stats.misses << ", entries " << stats.entries;
   service.shutdown();
 }
 

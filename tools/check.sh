@@ -73,6 +73,20 @@ else
     echo "error: std::chrono::system_clock found; use steady_clock" >&2
     exit 1
   fi
+  # Serving concerns are applied once: the stage driver in serve/service.cpp
+  # holds the only chaos retry loop (with_attempt + backoff). The registry's
+  # single per-install swap draw is not a retry, so its file is left out.
+  for pat in 'chaos::with_attempt(' 'backoff_sleep('; do
+    sites=$(grep -rnF "$pat" src/serve --include='*.cpp' --include='*.hpp' |
+      grep -v '^src/serve/model_registry\.cpp:' | grep -vE '^[^:]+:[0-9]+:\s*//' ||
+      true)
+    if (( $(grep -c . <<<"$sites") > 1 )); then
+      echo "$sites"
+      echo "error: '$pat' has more than one call site in src/serve/;" \
+        "route chaos retries through the stage driver" >&2
+      exit 1
+    fi
+  done
   run_suite build
   # A single run hides dispatcher races: repeat the tests that pin batch
   # composition, admission behind a busy worker, drain and sharding.
