@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/obs/metrics.hpp"
 
@@ -142,6 +143,7 @@ void ThreadPool::worker_loop(int index) {
       continue;
     }
     if (stop_) return;
+    ++idle_;
     if (!delayed_.empty()) {
       // Copy the deadline: wait_until keeps a reference to its argument
       // while the mutex is released, and a concurrent submit_after can
@@ -151,6 +153,7 @@ void ThreadPool::worker_loop(int index) {
     } else {
       work_cv_.wait(lock);
     }
+    --idle_;
   }
 }
 
@@ -171,6 +174,68 @@ std::vector<ThreadPool::Heartbeat> ThreadPool::heartbeats() const {
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return pending_ == 0; });
+}
+
+namespace {
+
+/// One cooperative_for call, shared by the caller and its helper tasks.
+/// A helper that starts after the cursor ran out touches nothing but
+/// this state, which its shared_ptr keeps alive.
+struct CooperativeRun {
+  const std::function<void(std::int64_t)>* body = nullptr;
+  std::int64_t n = 0;
+  std::atomic<std::int64_t> next{0};
+  std::atomic<std::int64_t> done{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::exception_ptr error;  // first thrown; guarded by mu
+
+  void claim() {
+    std::int64_t completed = 0;
+    for (;;) {
+      const std::int64_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      try {
+        (*body)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!error) error = std::current_exception();
+      }
+      ++completed;
+    }
+    if (completed > 0 &&
+        done.fetch_add(completed, std::memory_order_acq_rel) + completed ==
+            n) {
+      std::lock_guard<std::mutex> lock(mu);
+      cv.notify_all();
+    }
+  }
+};
+
+}  // namespace
+
+void ThreadPool::cooperative_for(
+    std::int64_t n, const std::function<void(std::int64_t)>& body) {
+  if (n <= 0) return;
+  auto run = std::make_shared<CooperativeRun>();
+  run->body = &body;
+  run->n = n;
+  // Only idle workers get a helper: a queued helper behind busy workers
+  // would start after the caller had run every index itself.
+  std::int64_t helpers = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (idle_ > ready_.size())
+      helpers = std::min<std::int64_t>(
+          static_cast<std::int64_t>(idle_ - ready_.size()), n - 1);
+  }
+  for (std::int64_t h = 0; h < helpers; ++h) submit([run] { run->claim(); });
+  run->claim();  // the caller participates
+  std::unique_lock<std::mutex> lock(run->mu);
+  run->cv.wait(lock, [&] {
+    return run->done.load(std::memory_order_acquire) == n;
+  });
+  if (run->error) std::rethrow_exception(run->error);
 }
 
 }  // namespace spmvml

@@ -14,6 +14,10 @@
 //  * wait_idle() gives the submitting thread a barrier over *all* work,
 //    including tasks that are currently parked on a deadline and tasks
 //    that tasks themselves submitted (resumable state machines).
+//  * cooperative_for() spreads a fixed set of indices over the calling
+//    thread and the idle workers. It is the in-batch parallelism of
+//    serving: a worker serving one request uses its idle peers for the
+//    Matrix Market parse and the feature scan.
 //
 // Determinism note: the pool makes no ordering promises — callers that
 // need deterministic output must index results by task identity (see
@@ -57,6 +61,16 @@ class ThreadPool {
   /// Block until every submitted task (immediate and delayed, including
   /// tasks submitted by running tasks) has finished.
   void wait_idle();
+
+  /// Run body(i) for every i in [0, n) and return when all have finished.
+  /// The calling thread and one helper task per idle worker (at most
+  /// n - 1) claim indices from one atomic cursor. The caller always takes
+  /// part, so a busy pool degrades to the caller running every index
+  /// alone, and a pool worker may call this without waiting on its peers.
+  /// Indices run in no fixed order: write results to per-index slots. The
+  /// first exception a body throws is rethrown once every index is done.
+  void cooperative_for(std::int64_t n,
+                       const std::function<void(std::int64_t)>& body);
 
   int size() const { return static_cast<int>(workers_.size()); }
 
@@ -112,6 +126,7 @@ class ThreadPool {
       delayed_;
   std::uint64_t delayed_seq_ = 0;
   std::size_t pending_ = 0;  // submitted (ready + delayed + running)
+  std::size_t idle_ = 0;     // workers waiting for work
   bool stop_ = false;
   /// Per-worker task-start stamps (steady-clock ns; -1 = idle). Sized at
   /// construction, written only by the owning worker.

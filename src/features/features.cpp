@@ -4,9 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include <condition_variable>
-#include <mutex>
-
 #include "common/error.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
@@ -64,9 +61,11 @@ inline void scan_row(const CsrPatternView& m, index_t r, StructureStats& s) {
 /// identical whether the blocks run serially or in parallel.
 constexpr index_t kFeatureRowBlock = 4096;
 
-/// Scan all rows block-by-block, in parallel when the matrix is big
-/// enough, merging block accumulators in row order.
-StructureStats scan_structure(CsrPatternView m) {
+/// Scan all rows block-by-block, merging block accumulators in row order.
+/// The blocks run cooperatively on `pool` when one is given, else through
+/// parallel_for (in parallel under OpenMP); either way the result is
+/// byte-identical to a serial scan.
+StructureStats scan_structure(CsrPatternView m, ThreadPool* pool) {
   const index_t rows = m.rows();
   StructureStats total;
   if (rows <= kFeatureRowBlock) {
@@ -75,76 +74,17 @@ StructureStats scan_structure(CsrPatternView m) {
   }
   const index_t blocks = (rows + kFeatureRowBlock - 1) / kFeatureRowBlock;
   std::vector<StructureStats> block_stats(static_cast<std::size_t>(blocks));
-  parallel_for(blocks, /*min_parallel_n=*/2, [&](std::int64_t b) {
+  const auto scan_block = [&](std::int64_t b) {
     auto& s = block_stats[static_cast<std::size_t>(b)];
     const index_t r0 = static_cast<index_t>(b) * kFeatureRowBlock;
     const index_t r1 = std::min(rows, r0 + kFeatureRowBlock);
     for (index_t r = r0; r < r1; ++r) scan_row(m, r, s);
-  });
+  };
+  if (pool != nullptr)
+    pool->cooperative_for(blocks, scan_block);
+  else
+    parallel_for(blocks, /*min_parallel_n=*/2, scan_block);
   for (const auto& s : block_stats) total.merge(s);
-  return total;
-}
-
-/// The same fixed block partition, scanned cooperatively on a shared
-/// ThreadPool. Blocks are claimed from an atomic cursor by helper tasks
-/// AND by the calling thread, so the scan completes even when every pool
-/// worker is busy (or when the caller IS a pool worker — the serving
-/// batch path) — there is no wait-for-the-pool deadlock, only a graceful
-/// degradation to the caller scanning alone. Accumulators merge in block
-/// order, so the result is byte-identical to the serial scan.
-StructureStats scan_structure_pool(CsrPatternView m, ThreadPool& pool) {
-  const index_t rows = m.rows();
-  StructureStats total;
-  if (rows <= kFeatureRowBlock) {
-    for (index_t r = 0; r < rows; ++r) scan_row(m, r, total);
-    return total;
-  }
-  const index_t blocks = (rows + kFeatureRowBlock - 1) / kFeatureRowBlock;
-
-  struct SharedScan {
-    std::vector<StructureStats> block_stats;
-    std::atomic<index_t> next{0};
-    std::atomic<index_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<SharedScan>();
-  state->block_stats.resize(static_cast<std::size_t>(blocks));
-
-  const auto scan_blocks = [state, &m, blocks] {
-    index_t completed = 0;
-    for (;;) {
-      const index_t b = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= blocks) break;
-      auto& s = state->block_stats[static_cast<std::size_t>(b)];
-      const index_t r0 = b * kFeatureRowBlock;
-      const index_t r1 = std::min(m.rows(), r0 + kFeatureRowBlock);
-      for (index_t r = r0; r < r1; ++r) scan_row(m, r, s);
-      ++completed;
-    }
-    if (completed > 0 &&
-        state->done.fetch_add(completed, std::memory_order_acq_rel) +
-                completed ==
-            blocks) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->cv.notify_all();
-    }
-  };
-
-  // Helpers are capped below the block count: the caller always claims
-  // at least one block, and a helper that wakes up after the cursor ran
-  // out exits without touching the matrix.
-  const index_t helpers =
-      std::min<index_t>(pool.size(), blocks - 1);
-  for (index_t h = 0; h < helpers; ++h) pool.submit(scan_blocks);
-  scan_blocks();  // caller participates
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] {
-      return state->done.load(std::memory_order_acquire) == blocks;
-    });
-  }
-  for (const auto& s : state->block_stats) total.merge(s);
   return total;
 }
 
@@ -262,14 +202,14 @@ void count_extraction(CsrPatternView m, obs::TraceSpan& span) {
 FeatureVector extract_features(CsrPatternView m) {
   obs::TraceSpan span("features.extract");
   count_extraction(m, span);
-  return assemble_features(m, scan_structure(m));
+  return assemble_features(m, scan_structure(m, nullptr));
 }
 
 FeatureVector extract_features(CsrPatternView m, ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) return extract_features(m);
+  if (pool == nullptr) return extract_features(m);
   obs::TraceSpan span("features.extract_pool");
   count_extraction(m, span);
-  return assemble_features(m, scan_structure_pool(m, *pool));
+  return assemble_features(m, scan_structure(m, pool));
 }
 
 FeatureVector extract_features_sampled(CsrPatternView m,

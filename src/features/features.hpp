@@ -73,13 +73,15 @@ struct FeatureVector {
 FeatureVector extract_features(CsrPatternView m);
 
 /// Blocked-parallel extraction on a shared thread pool: the fixed
-/// 4096-row block partition is scanned cooperatively (pool workers help,
-/// the caller participates, so a saturated pool degrades to the serial
-/// scan instead of deadlocking) and block accumulators merge in row
-/// order via the exact StreamingStats::merge — the result is
-/// byte-identical to extract_features(m) at any pool size, including
-/// when the caller is itself a pool worker (the serving batch path).
-/// pool == nullptr degrades to extract_features(m).
+/// 4096-row block partition is scanned cooperatively
+/// (ThreadPool::cooperative_for: idle workers help, the caller
+/// participates, so a saturated pool degrades to the serial scan instead
+/// of deadlocking) and block accumulators merge in row order via the
+/// exact StreamingStats::merge — the result is byte-identical to
+/// extract_features(m) at any pool size, including when the caller is
+/// itself a pool worker (the serving batch path). It never starts an
+/// OpenMP team, whatever the pool's size. pool == nullptr degrades to
+/// extract_features(m).
 FeatureVector extract_features(CsrPatternView m, ThreadPool* pool);
 
 /// Approximate extraction from a random row sample (O(nnz * fraction)):

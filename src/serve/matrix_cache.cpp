@@ -153,7 +153,7 @@ void MatrixCache::put(std::uint64_t key,
 }
 
 MatrixCache::View MatrixCache::parse(const std::string& path,
-                                     const FileId& id) {
+                                     const FileId& id, ThreadPool* pool) {
   obs::TraceSpan span("serve.ingest.parse");
   span.arg("path", std::string_view(path));
   View view;
@@ -169,10 +169,10 @@ MatrixCache::View MatrixCache::parse(const std::string& path,
       matrix = read_csr_binary(csr_sidecar_path(path));
       view.sidecar = true;
     } catch (const Error&) {
-      matrix = read_matrix_market(path);
+      matrix = read_matrix_market(path, pool);
     }
   } else {
-    matrix = read_matrix_market(path);
+    matrix = read_matrix_market(path, pool);
   }
   parses_.fetch_add(1, std::memory_order_relaxed);
   parse_counter().inc();
@@ -196,7 +196,8 @@ std::optional<MatrixCache::View> MatrixCache::cached_view(std::uint64_t key) {
   return view;
 }
 
-MatrixCache::View MatrixCache::load(const std::string& path) {
+MatrixCache::View MatrixCache::load(const std::string& path,
+                                    ThreadPool* pool) {
   // Fast path: stat-cache key + LRU hit — no file opened at all.
   const std::optional<std::uint64_t> known = resolve_key(path);
   if (known)
@@ -231,7 +232,7 @@ MatrixCache::View MatrixCache::load(const std::string& path) {
       // Stat again inside the flight (the earlier stat may have failed —
       // that failure must surface as the reader's kIo, not silently).
       const auto fresh = file_identity(path);
-      view = parse(path, fresh.value_or(FileId{}));
+      view = parse(path, fresh.value_or(FileId{}), pool);
       put(view->key, view->matrix);
       if (fresh) {
         std::lock_guard<std::mutex> lock(stat_mu_);

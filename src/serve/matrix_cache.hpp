@@ -30,7 +30,9 @@
 //   1. P ends in ".spmvml-csr"  -> binary CSR load (errors propagate);
 //   2. "P.spmvml-csr" exists and is not older than P -> binary CSR load,
 //      falling back to 3 when the sidecar is corrupt;
-//   3. Matrix Market text parse of P.
+//   3. Matrix Market text parse of P: line-aligned blocks out of a
+//      bounded read window, parsed on the caller's ThreadPool (the
+//      serving pool) by the calling worker and any idle workers.
 // The content key is always recomputed from the parsed arrays
 // (matrix_content_hash), so both routes yield the same key — and the
 // same feature-cache entries — for the same matrix.
@@ -48,6 +50,10 @@
 
 #include "serve/feature_cache.hpp"
 #include "sparse/csr.hpp"
+
+namespace spmvml {
+class ThreadPool;  // forward declaration; defined in common/thread_pool.hpp
+}
 
 namespace spmvml::serve {
 
@@ -72,8 +78,10 @@ class MatrixCache {
   std::optional<std::uint64_t> resolve_key(const std::string& path);
 
   /// Full ingest: stat-cache + LRU fast path, else single-flight parse.
-  /// Throws Error(kIo/kParse) exactly like the underlying readers.
-  View load(const std::string& path);
+  /// A text parse runs its blocks cooperatively on `pool` when one is
+  /// given (the caller may be one of its workers). Throws Error(kIo/kParse)
+  /// exactly like the underlying readers.
+  View load(const std::string& path, ThreadPool* pool = nullptr);
 
   /// Direct cache lookup by content key (refreshes LRU position).
   std::optional<std::shared_ptr<const Csr<double>>> get(std::uint64_t key);
@@ -132,7 +140,7 @@ class MatrixCache {
   /// matrix file cannot be statted.
   static std::optional<FileId> file_identity(const std::string& path);
   /// The parse itself: sidecar-or-mmio with transparent fallback.
-  View parse(const std::string& path, const FileId& id);
+  View parse(const std::string& path, const FileId& id, ThreadPool* pool);
   /// LRU lookup by content key, as a cache-hit View.
   std::optional<View> cached_view(std::uint64_t key);
 

@@ -472,7 +472,8 @@ void Service::resolve_features(const Request& req, Slot& s) {
     if (inline_features) {
       // A materialize request needs only the CSR master copy, and it
       // comes from the ingest cache: a repeat matrix costs zero parses.
-      if (req.materialize) s.view = ingest_.load(req.matrix_path).matrix;
+      if (req.materialize)
+        s.view = ingest_.load(req.matrix_path, &pool_).matrix;
       return;
     }
     WallTimer stage_timer;
@@ -497,7 +498,7 @@ void Service::resolve_features(const Request& req, Slot& s) {
       // Feature miss (or the cache is chaos-disabled): materialize the
       // matrix through the ingest cache — LRU hit, sidecar bulk read, or
       // text parse, whichever is cheapest — then extract.
-      MatrixCache::View loaded = ingest_.load(req.matrix_path);
+      MatrixCache::View loaded = ingest_.load(req.matrix_path, &pool_);
       view = std::move(loaded.matrix);
       if (cache_usable) cached = cache_.get(loaded.key);
       if (!cached) {
@@ -527,7 +528,7 @@ void Service::resolve_features(const Request& req, Slot& s) {
     st.breaker.record(ok, stage_timer.millis(), Clock::now());
     if (req.materialize)
       s.view = view != nullptr ? std::move(view)
-                               : ingest_.load(req.matrix_path).matrix;
+                               : ingest_.load(req.matrix_path, &pool_).matrix;
   } catch (const std::exception& e) {
     if (!inline_features) st.breaker.record(false, 0.0, Clock::now());
     fail(s, e);

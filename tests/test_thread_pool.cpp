@@ -1,13 +1,16 @@
 // Thread-pool tests: task completion, wait_idle barrier semantics,
 // deadline-delayed resubmission (the backoff-yield mechanism), worker
-// identity, and tasks submitting tasks.
+// identity, tasks submitting tasks, and cooperative_for (every index
+// once, a busy pool, exceptions).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -120,6 +123,49 @@ TEST(ThreadPool, SingleThreadPoolStillCompletes) {
   // One worker drains the FIFO in submission order.
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ThreadPool, CooperativeForRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (const std::int64_t n : {0, 1, 2, 7, 500}) {
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+    pool.cooperative_for(n, [&](std::int64_t i) {
+      runs[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1) << "n=" << n;
+  }
+}
+
+TEST(ThreadPool, CooperativeForFromABusyPoolsWorkerCompletes) {
+  // Every worker is inside a task; the one calling cooperative_for gets no
+  // helper and runs all indices itself, without waiting on its peers.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> sum{0};
+  pool.submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  pool.submit([&] {
+    pool.cooperative_for(64, [&](std::int64_t i) {
+      sum.fetch_add(static_cast<int>(i));
+    });
+    release.store(true);
+  });
+  pool.wait_idle();
+  EXPECT_EQ(sum.load(), 64 * 63 / 2);
+}
+
+TEST(ThreadPool, CooperativeForRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.cooperative_for(40,
+                                    [&](std::int64_t i) {
+                                      ran.fetch_add(1);
+                                      if (i % 8 == 3)
+                                        throw std::runtime_error("boom");
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 40);
 }
 
 TEST(Gemm, MatchesNaiveReference) {

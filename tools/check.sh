@@ -12,7 +12,8 @@
 #                             # (thread pool, parallel collection and its
 #                             # checkpoints, logger +
 #                             # sharded metrics, concurrent arenas, the
-#                             # online-learning loop); OpenMP
+#                             # online-learning loop, the pooled Matrix
+#                             # Market parse); OpenMP
 #                             # is disabled there because libgomp's
 #                             # uninstrumented runtime trips false positives
 #   tools/check.sh --simd-off # full suite with -DSPMVML_FORCE_SCALAR=ON:
@@ -50,7 +51,7 @@ elif [[ "${1:-}" == "--tsan" ]]; then
     -DSPMVML_ENABLE_OPENMP=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelCollector|Checkpoint|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell'
+    -R 'ThreadPool|ParallelCollector|Checkpoint|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell|Mmio'
 elif [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke (asan; scripted fault bursts + robustness tests) =="
   cmake -B build-chaos -S . "-DSPMVML_SANITIZE=address;undefined" \
