@@ -1,22 +1,8 @@
-// Perf gate for the online serving subsystem (DESIGN.md §5f): trains a
-// classifier + per-format regressors in-process, stands up a Service,
-// and drives it two ways:
+// Serving robustness and online-learning gates. It trains its models
+// in-process, stands up a Service and runs one of two scenarios, each
+// with a JSON report of its own:
 //
-//   closed loop — 4 synchronous clients hammer the service while the
-//   main thread hot-swaps the model registry mid-run; measures
-//   throughput, p50/p95/p99 latency, and that versions stay monotonic.
-//
-//   open loop — requests submitted at a fixed offered rate regardless
-//   of completions, the standard way to expose queueing latency that a
-//   closed loop hides; admission-control rejections are counted, not
-//   errors.
-//
-// The bench also asserts the serving contract: batched responses are
-// byte-identical to one-shot library calls on the same matrix + model
-// (same Format pick, bitwise-equal predicted times). Results land in
-// BENCH_serving.json.
-//
-// --chaos switches to the robustness gate (DESIGN.md §5h): a scripted
+// --chaos is the robustness gate (DESIGN.md §5h): a scripted
 // chaos scenario fires fault bursts at the feature and inference stages
 // mid-run while hot swaps race injected mid-swap faults. Gates: zero
 // invalid selections, failed-request rate ≤ 1% outside the injected
@@ -24,25 +10,27 @@
 // burst, and every faulted swap rolled back with the version sequence
 // still monotonic. Results land in BENCH_robustness.json.
 //
-// --drift appends the online-learning scenario (DESIGN.md §5k): a
+// --drift is the online-learning scenario (DESIGN.md §5k): a
 // service with --learn on serves a Table-I-like regime, traffic then
 // shifts to a DLMC-like regime (20-40x the nnz), and the gates assert
 // the loop closed — drift tripped, the trainer retrained from replay,
 // a validated candidate was published through the journaled swap path,
 // and windowed selection accuracy recovered to ≥ 90% of pre-shift with
-// zero invalid selections. The section lands inside BENCH_serving.json.
+// zero invalid selections. Results land in BENCH_drift.json.
 //
-//   ./build/bench/serving_bench [--smoke] [--chaos] [--drift]
-//                               [--out file.json]
+// Serving speed is measured by the benchmark (benchmark/run.sh); the
+// serving contracts (batched == one-shot, monotonic versions under hot
+// swap) are pinned by the ServeService tests.
+//
+//   ./build/bench/serving_bench --chaos|--drift [--smoke] [--out file.json]
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,7 +38,6 @@
 #include "common/chaos/chaos.hpp"
 #include "common/env.hpp"
 #include "common/json_writer.hpp"
-#include "common/obs/trace.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/format_selector.hpp"
@@ -72,35 +59,11 @@ namespace {
 
 struct BenchConfig {
   bool smoke = false;
-  bool chaos = false;
-  /// --drift: append the online-learning drift scenario (DESIGN.md §5k)
-  /// — a mid-run workload shift the background trainer must detect and
-  /// retrain through, gated on scorecard-accuracy recovery, at least one
-  /// journal-consistent trainer-initiated swap, and zero invalid
-  /// selections.
-  bool drift = false;
-  /// Hard perf gates on the open loop (0 = not enforced): fail the run
-  /// when achieved throughput drops below --min-rps or cache-warm p99
-  /// exceeds --max-p99-ms. CI's perf-smoke job sets both.
-  double min_rps = 0.0;
-  double max_p99_ms = 0.0;
-  std::string out_path;    // default depends on mode
-  /// Chrome trace of the open-loop + scorecard phases (non-chaos mode).
-  /// The open loop runs with telemetry ON — tracing active and 1 in 100
-  /// requests tagged with id'd spans — so the --min-rps/--max-p99-ms
-  /// gates prove sampled tracing does not perturb serving.
-  std::string trace_out = "BENCH_serving_trace.json";
-  int trace_sample() const { return 100; }  // 1% of open-loop requests
-  int scorecard_passes() const { return 2; }
+  std::string out_path;  // default depends on mode
   int corpus_size() const { return smoke ? 32 : 48; }
   int matrices() const { return smoke ? 4 : 8; }
-  int clients() const { return 4; }
-  int requests_per_client() const { return smoke ? 40 : 150; }
-  int swaps() const { return smoke ? 4 : 8; }
-  int open_requests() const { return smoke ? 200 : 800; }
-  double open_rate_rps() const { return smoke ? 1000.0 : 400.0; }
-  /// Open-loop admission target: shed instead of queueing unboundedly
-  /// when the offered rate outruns the service (the honest 'rejected').
+  /// Admission target: shed instead of queueing unboundedly when the
+  /// offered rate outruns the service (the honest 'rejected').
   double admission_target_ms() const { return 150.0; }
   // Drift-mode shape: traffic passes over each regime's matrix set.
   int drift_passes_pre() const { return 8; }    // pre-shift (baseline)
@@ -474,7 +437,6 @@ struct DriftPassStat {
 constexpr double kDriftRmeThreshold = 5.0;
 
 struct DriftResult {
-  bool ran = false;
   double pre_accuracy = -1.0, pre_rme = -1.0;
   double final_accuracy = -1.0, final_rme = -1.0;
   int first_swap_pass = -1;  // post-shift pass index; -1 = never
@@ -522,7 +484,6 @@ MeasuredMatrix measure_matrix(const GenSpec& spec) {
 
 DriftResult run_drift_phase(const BenchConfig& cfg) {
   DriftResult res;
-  res.ran = true;
   const std::uint64_t lseed = root_seed();
   const double holdout_fraction = 0.35;
 
@@ -815,34 +776,114 @@ DriftResult run_drift_phase(const BenchConfig& cfg) {
   return res;
 }
 
+/// --drift: the online-learning scenario alone, in a report of its own.
+int run_drift(const BenchConfig& cfg) {
+  const DriftResult drift = run_drift_phase(cfg);
+  std::ofstream out(cfg.out_path);
+  JsonWriter json(out);
+  json.begin_object();
+  json.key("config");
+  json.begin_object();
+  json.kv("smoke", cfg.smoke);
+  json.kv("passes_pre", cfg.drift_passes_pre());
+  json.kv("passes_shift", cfg.drift_passes_shift());
+  json.kv("passes_final", cfg.drift_passes_final());
+  json.kv("post_rows", static_cast<std::uint64_t>(cfg.drift_post_rows()));
+  json.kv("post_row_mu", cfg.drift_post_mu());
+  json.end_object();
+  json.key("pre");
+  json.begin_object();
+  json.kv("selection_accuracy", drift.pre_accuracy);
+  json.kv("predicted_vs_measured_rme", drift.pre_rme);
+  json.end_object();
+  json.key("post_timeline");
+  json.begin_array();
+  for (const auto& t : drift.timeline) {
+    json.begin_object();
+    json.kv("selection_accuracy", t.accuracy);
+    json.kv("predicted_vs_measured_rme", t.rme);
+    json.kv("trainer_swaps", t.swaps);
+    json.end_object();
+  }
+  json.end_array();
+  json.key("final");
+  json.begin_object();
+  json.kv("selection_accuracy", drift.final_accuracy);
+  json.kv("predicted_vs_measured_rme", drift.final_rme);
+  json.end_object();
+  json.kv("first_swap_pass", drift.first_swap_pass);
+  json.key("trainer");
+  json.begin_object();
+  json.kv("retrains", drift.trainer.retrains);
+  json.kv("swaps", drift.trainer.swaps);
+  json.kv("discards", drift.trainer.discards);
+  json.kv("aborted", drift.trainer.aborted);
+  json.kv("drift_trips", drift.trainer.drift.trips);
+  json.kv("last_published_version", drift.trainer.last_published_version);
+  json.kv("last_candidate_regret", drift.trainer.last_candidate_regret);
+  json.kv("last_live_regret", drift.trainer.last_live_regret);
+  json.kv("last_candidate_rme", drift.trainer.last_candidate_rme);
+  json.kv("last_live_rme", drift.trainer.last_live_rme);
+  json.end_object();
+  json.key("journal");
+  json.begin_object();
+  json.kv("installs", drift.journal_installs);
+  json.kv("other", drift.journal_other);
+  json.kv("monotonic", drift.journal_monotonic);
+  json.kv("final_version", drift.final_version);
+  json.end_object();
+  json.kv("invalid_selections", drift.invalid);
+  json.kv("failed", drift.failed);
+  json.key("gates");
+  json.begin_object();
+  json.kv("accuracy_recovered", drift.gate_recovered);
+  json.kv("trainer_swap_journaled", drift.gate_swap);
+  json.kv("zero_invalid_and_failed", drift.gate_clean);
+  json.kv("final_rme_bounded", drift.gate_rme);
+  json.kv("pass", drift.pass);
+  json.end_object();
+  json.end_object();
+  out << '\n';
+  std::printf("wrote %s\n", cfg.out_path.c_str());
+  if (!drift.pass)
+    std::printf("GATE FAIL: drift scenario (recovered %d swap %d clean %d "
+                "rme %d)\n",
+                static_cast<int>(drift.gate_recovered),
+                static_cast<int>(drift.gate_swap),
+                static_cast<int>(drift.gate_clean),
+                static_cast<int>(drift.gate_rme));
+  return drift.pass ? 0 : 1;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: serving_bench --chaos|--drift [--smoke] [--out file]\n");
+  return 2;
+}
+
 int main_impl(int argc, char** argv) {
+  // --chaos: the robustness scenario (DESIGN.md §5h); --drift: the
+  // online-learning scenario (§5k). Exactly one must be given.
+  enum class Mode { kChaos, kDrift };
+  std::optional<Mode> mode;
   BenchConfig cfg;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       cfg.smoke = true;
-    } else if (arg == "--chaos") {
-      cfg.chaos = true;
-    } else if (arg == "--drift") {
-      cfg.drift = true;
+    } else if ((arg == "--chaos" || arg == "--drift") && !mode) {
+      mode = arg == "--chaos" ? Mode::kChaos : Mode::kDrift;
     } else if (arg == "--out" && i + 1 < argc) {
       cfg.out_path = argv[++i];
-    } else if (arg == "--min-rps" && i + 1 < argc) {
-      cfg.min_rps = std::atof(argv[++i]);
-    } else if (arg == "--max-p99-ms" && i + 1 < argc) {
-      cfg.max_p99_ms = std::atof(argv[++i]);
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      cfg.trace_out = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: serving_bench [--smoke] [--chaos] [--drift] "
-                   "[--min-rps F] [--max-p99-ms F] [--out file] "
-                   "[--trace-out file]\n");
-      return 2;
+      return usage();
     }
   }
+  if (!mode) return usage();
   if (cfg.out_path.empty())
-    cfg.out_path = cfg.chaos ? "BENCH_robustness.json" : "BENCH_serving.json";
+    cfg.out_path =
+        *mode == Mode::kChaos ? "BENCH_robustness.json" : "BENCH_drift.json";
+  if (*mode == Mode::kDrift) return run_drift(cfg);
 
   // --- Train two model bundles: one live, one to hot-swap in. ---
   std::printf("== train: %d-matrix corpus, MLP selector + tree regressors ==\n",
@@ -864,10 +905,7 @@ int main_impl(int argc, char** argv) {
   const double train_s = timer.seconds();
   std::printf("  trained both bundles in %.2f s\n", train_s);
 
-  serve::ModelRegistry registry;
-  registry.install(selector_a, perf);
-
-  // --- Matrix Market inputs the clients will name in requests. ---
+  // --- Matrix Market inputs the requests will name. ---
   const auto file_plan = make_small_plan(cfg.matrices(), 777);
   std::vector<std::string> paths;
   for (int i = 0; i < cfg.matrices(); ++i) {
@@ -877,387 +915,9 @@ int main_impl(int argc, char** argv) {
     paths.push_back(path);
   }
 
-  if (cfg.chaos) {
-    const int rc = run_chaos(cfg, selector_a, selector_b, perf, paths, train_s);
-    for (const auto& path : paths) std::remove(path.c_str());
-    return rc;
-  }
-
-  serve::ServiceConfig svc_cfg;
-  svc_cfg.threads = 4;
-  svc_cfg.max_batch = 16;
-  svc_cfg.queue_capacity = 1024;
-  svc_cfg.cache_capacity = 64;
-  // Fast-path ingest: sharded dispatch plus the materialized-matrix
-  // cache (256 MB default) — the configuration the throughput gates
-  // below are tuned for.
-  svc_cfg.dispatch_shards = 4;
-
-  constexpr serve::RequestMode kModes[] = {serve::RequestMode::kSelect,
-                                           serve::RequestMode::kIndirect,
-                                           serve::RequestMode::kPredict};
-
-  // --- Contract check: batched serving == one-shot library calls. ---
-  // The service reads the matrix back from the file, so the reference
-  // computation does too — both sides see the identical Csr.
-  bool identical = true;
-  {
-    serve::Service service(svc_cfg, registry);
-    for (const auto& path : paths) {
-      const auto matrix = read_matrix_market(path);
-      const auto features = extract_features(matrix);
-      const Format expect = selector_a->select(features);
-      const auto sel =
-          service.call(make_request("chk-sel", serve::RequestMode::kSelect,
-                                    path));
-      if (!sel.ok || sel.format != expect) identical = false;
-      const auto prd =
-          service.call(make_request("chk-prd", serve::RequestMode::kPredict,
-                                    path));
-      if (!prd.ok || prd.predicted_us.size() != perf->formats().size())
-        identical = false;
-      for (std::size_t k = 0; identical && k < prd.predicted_us.size(); ++k) {
-        const auto [f, us] = prd.predicted_us[k];
-        if (f != perf->formats()[k] ||
-            us != perf->predict_seconds(features, f) * 1e6)
-          identical = false;
-      }
-    }
-  }
-  std::printf("== contract: batched == one-shot: %s ==\n",
-              identical ? "yes" : "NO");
-
-  // --- Closed loop: 4 clients, hot swaps mid-run. ---
-  std::printf("== closed loop: %d clients x %d requests, %d hot swaps ==\n",
-              cfg.clients(), cfg.requests_per_client(), cfg.swaps());
-  std::vector<double> closed_lat;
-  std::uint64_t closed_failed = 0;
-  std::uint64_t closed_cache_hits = 0;
-  double closed_wall_s = 0.0;
-  bool versions_monotonic = true;
-  std::uint64_t swaps_done = 0;
-  {
-    serve::Service service(svc_cfg, registry);
-    std::mutex agg_mu;
-    std::atomic<bool> done{false};
-    timer.reset();
-    std::vector<std::thread> clients;
-    for (int c = 0; c < cfg.clients(); ++c) {
-      clients.emplace_back([&, c] {
-        std::vector<double> lat;
-        std::uint64_t failed = 0, hits = 0, last_version = 0;
-        bool monotonic = true;
-        for (int k = 0; k < cfg.requests_per_client(); ++k) {
-          const int pick = c * cfg.requests_per_client() + k;
-          const auto rsp = service.call(make_request(
-              "c" + std::to_string(c) + "-" + std::to_string(k),
-              kModes[pick % 3],
-              paths[static_cast<std::size_t>(pick) % paths.size()]));
-          if (!rsp.ok) ++failed;
-          if (rsp.cache_hit) ++hits;
-          // A client never sees the model version move backwards.
-          if (rsp.ok && rsp.model_version < last_version) monotonic = false;
-          if (rsp.ok) last_version = rsp.model_version;
-          lat.push_back(rsp.latency_ms);
-        }
-        std::lock_guard<std::mutex> lock(agg_mu);
-        closed_lat.insert(closed_lat.end(), lat.begin(), lat.end());
-        closed_failed += failed;
-        closed_cache_hits += hits;
-        versions_monotonic = versions_monotonic && monotonic;
-      });
-    }
-    std::thread swapper([&] {
-      for (int s = 0; s < cfg.swaps() && !done.load(); ++s) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        registry.install(s % 2 == 0 ? selector_b : selector_a, perf);
-        ++swaps_done;
-      }
-    });
-    for (auto& t : clients) t.join();
-    done.store(true);
-    swapper.join();
-    closed_wall_s = timer.seconds();
-    service.shutdown();
-  }
-  const auto total_closed =
-      static_cast<double>(cfg.clients() * cfg.requests_per_client());
-  const double closed_rps = total_closed / closed_wall_s;
-  const Percentiles closed_p = percentiles_ms(closed_lat);
-  std::printf("  %.0f req in %.2f s = %.0f req/s  (p50 %.2f ms, p95 %.2f ms, "
-              "p99 %.2f ms)\n",
-              total_closed, closed_wall_s, closed_rps, closed_p.p50,
-              closed_p.p95, closed_p.p99);
-  std::printf("  failed %llu, cache hits %llu, swaps %llu, versions "
-              "monotonic: %s\n",
-              static_cast<unsigned long long>(closed_failed),
-              static_cast<unsigned long long>(closed_cache_hits),
-              static_cast<unsigned long long>(swaps_done),
-              versions_monotonic ? "yes" : "NO");
-
-  // --- Open loop: paced offered rate, count rejections separately. ---
-  // Admission shedding is on here: with the offered rate outrunning the
-  // service, unbounded queueing would report "rejected 0" while p50
-  // climbs into seconds. Shedding makes the rejected count honest.
-  // Telemetry ON for the rest of the run: Chrome tracing active with 1%
-  // of requests carrying id'd per-request spans. The perf gates below
-  // apply to this configuration, so passing them proves sampled
-  // request-scoped telemetry does not perturb serving.
-  if (!cfg.trace_out.empty()) obs::trace_start(cfg.trace_out);
-  std::printf("== open loop: %d requests at %.0f req/s offered, admission "
-              "target %.0f ms, trace sampling 1/%d ==\n",
-              cfg.open_requests(), cfg.open_rate_rps(),
-              cfg.admission_target_ms(), cfg.trace_sample());
-  std::vector<double> open_lat;
-  std::vector<double> shed_wait_ms;  // est. queue age of shed requests
-  std::uint64_t open_rejected = 0, open_failed = 0;
-  double open_wall_s = 0.0;
-  serve::ServiceConfig open_cfg = svc_cfg;
-  open_cfg.admission_target_ms = cfg.admission_target_ms();
-  {
-    serve::Service service(open_cfg, registry);
-    std::vector<std::future<serve::Response>> futures;
-    futures.reserve(static_cast<std::size_t>(cfg.open_requests()));
-    const auto interval = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(1.0 / cfg.open_rate_rps()));
-    timer.reset();
-    const auto start = std::chrono::steady_clock::now();
-    for (int k = 0; k < cfg.open_requests(); ++k) {
-      std::this_thread::sleep_until(start + k * interval);
-      serve::Request req = make_request(
-          "o" + std::to_string(k), kModes[k % 3],
-          paths[static_cast<std::size_t>(k) % paths.size()]);
-      req.trace_sampled = (k % cfg.trace_sample()) == 0;
-      futures.push_back(service.submit(std::move(req)));
-    }
-    for (auto& f : futures) {
-      const auto rsp = f.get();
-      if (rsp.ok) {
-        open_lat.push_back(rsp.latency_ms);
-      } else if (rsp.error.rfind("rejected", 0) == 0) {
-        ++open_rejected;
-        if (!rsp.shed.empty()) shed_wait_ms.push_back(rsp.est_wait_ms);
-      } else {
-        ++open_failed;
-      }
-    }
-    open_wall_s = timer.seconds();
-    service.shutdown();
-  }
-  const double open_rps =
-      static_cast<double>(open_lat.size()) / open_wall_s;
-  const Percentiles open_p = percentiles_ms(open_lat);
-  const Percentiles shed_p = percentiles_ms(shed_wait_ms);
-  std::printf("  served %zu (%.0f req/s), rejected %llu, failed %llu  "
-              "(p50 %.2f ms, p95 %.2f ms, p99 %.2f ms)\n",
-              open_lat.size(), open_rps,
-              static_cast<unsigned long long>(open_rejected),
-              static_cast<unsigned long long>(open_failed), open_p.p50,
-              open_p.p95, open_p.p99);
-  if (!shed_wait_ms.empty())
-    std::printf("  shed %zu with est queue wait p50 %.1f ms, p95 %.1f ms, "
-                "p99 %.1f ms\n",
-                shed_wait_ms.size(), shed_p.p50, shed_p.p95, shed_p.p99);
-
-  // --- Scorecard: materialize requests close the predict/measure loop. ---
-  // Every materialized conversion runs one timed SpMV and records
-  // predicted-vs-measured GFLOPS plus chosen-vs-best regret; the
-  // service-side scorecard aggregates them into the accuracy numbers
-  // reported below (and gated on: a run must produce records).
-  const int scorecard_n = cfg.scorecard_passes() * cfg.matrices();
-  std::printf("== scorecard: %d materialize requests over %d matrices ==\n",
-              scorecard_n, cfg.matrices());
-  serve::Scorecard::Summary score;
-  std::uint64_t score_failed = 0;
-  {
-    serve::Service service(svc_cfg, registry);
-    for (int rep = 0; rep < cfg.scorecard_passes(); ++rep) {
-      for (std::size_t m = 0; m < paths.size(); ++m) {
-        serve::Request req = make_request(
-            "sc" + std::to_string(rep) + "-" + std::to_string(m),
-            serve::RequestMode::kIndirect, paths[m]);
-        req.materialize = true;
-        req.trace_sampled = true;  // few requests: trace them all
-        const auto rsp = service.call(std::move(req));
-        if (!rsp.ok) ++score_failed;
-      }
-    }
-    score = service.scorecard().summary();
-    service.shutdown();
-  }
-  if (!cfg.trace_out.empty()) obs::trace_stop();
-  std::printf("  records %llu, selection accuracy %.2f, mean regret %.3f, "
-              "predicted-vs-measured RME %.2f, failed %llu\n",
-              static_cast<unsigned long long>(score.total), score.accuracy,
-              score.mean_regret, score.rme,
-              static_cast<unsigned long long>(score_failed));
-
+  const int rc = run_chaos(cfg, selector_a, selector_b, perf, paths, train_s);
   for (const auto& path : paths) std::remove(path.c_str());
-
-  // --- Drift scenario (--drift): the online learning loop end to end. ---
-  DriftResult drift;
-  if (cfg.drift) drift = run_drift_phase(cfg);
-
-  std::ofstream out(cfg.out_path);
-  JsonWriter json(out);
-  json.begin_object();
-  json.key("config");
-  json.begin_object();
-  json.kv("smoke", cfg.smoke);
-  json.kv("threads", svc_cfg.threads);
-  json.kv("max_batch", static_cast<std::uint64_t>(svc_cfg.max_batch));
-  json.kv("queue_capacity",
-          static_cast<std::uint64_t>(svc_cfg.queue_capacity));
-  json.kv("matrices", cfg.matrices());
-  json.kv("train_s", train_s);
-  json.end_object();
-  json.kv("batched_matches_one_shot", identical);
-  json.key("closed_loop");
-  json.begin_object();
-  json.kv("clients", cfg.clients());
-  json.kv("requests", static_cast<std::uint64_t>(total_closed));
-  json.kv("wall_s", closed_wall_s);
-  json.kv("throughput_rps", closed_rps);
-  write_percentiles(json, closed_p);
-  json.kv("failed", closed_failed);
-  json.kv("cache_hits", closed_cache_hits);
-  json.kv("hot_swaps", swaps_done);
-  json.kv("versions_monotonic", versions_monotonic);
-  json.end_object();
-  json.key("open_loop");
-  json.begin_object();
-  json.kv("offered_rps", cfg.open_rate_rps());
-  json.kv("admission_target_ms", open_cfg.admission_target_ms);
-  json.kv("requests", cfg.open_requests());
-  json.kv("served", static_cast<std::uint64_t>(open_lat.size()));
-  json.kv("rejected", open_rejected);
-  json.kv("failed", open_failed);
-  json.kv("wall_s", open_wall_s);
-  json.kv("achieved_rps", open_rps);
-  write_percentiles(json, open_p);
-  // Queue age the shed requests were turned away at: how far over
-  // budget the queue was when admission said no.
-  json.key("shed");
-  json.begin_object();
-  json.kv("count", static_cast<std::uint64_t>(shed_wait_ms.size()));
-  write_percentiles(json, shed_p);
-  json.end_object();
-  json.end_object();
-  json.key("scorecard");
-  json.begin_object();
-  json.kv("records", score.total);
-  json.kv("window", static_cast<std::uint64_t>(score.window));
-  json.kv("selection_accuracy", score.accuracy);
-  json.kv("mean_regret", score.mean_regret);
-  json.kv("predicted_vs_measured_rme", score.rme);
-  json.kv("failed", score_failed);
-  json.end_object();
-  json.kv("trace_sample", cfg.trace_sample());
-  if (cfg.drift) {
-    json.key("drift");
-    json.begin_object();
-    json.key("config");
-    json.begin_object();
-    json.kv("passes_pre", cfg.drift_passes_pre());
-    json.kv("passes_shift", cfg.drift_passes_shift());
-    json.kv("passes_final", cfg.drift_passes_final());
-    json.kv("post_rows", static_cast<std::uint64_t>(cfg.drift_post_rows()));
-    json.kv("post_row_mu", cfg.drift_post_mu());
-    json.end_object();
-    json.key("pre");
-    json.begin_object();
-    json.kv("selection_accuracy", drift.pre_accuracy);
-    json.kv("predicted_vs_measured_rme", drift.pre_rme);
-    json.end_object();
-    json.key("post_timeline");
-    json.begin_array();
-    for (const auto& t : drift.timeline) {
-      json.begin_object();
-      json.kv("selection_accuracy", t.accuracy);
-      json.kv("predicted_vs_measured_rme", t.rme);
-      json.kv("trainer_swaps", t.swaps);
-      json.end_object();
-    }
-    json.end_array();
-    json.key("final");
-    json.begin_object();
-    json.kv("selection_accuracy", drift.final_accuracy);
-    json.kv("predicted_vs_measured_rme", drift.final_rme);
-    json.end_object();
-    json.kv("first_swap_pass", drift.first_swap_pass);
-    json.key("trainer");
-    json.begin_object();
-    json.kv("retrains", drift.trainer.retrains);
-    json.kv("swaps", drift.trainer.swaps);
-    json.kv("discards", drift.trainer.discards);
-    json.kv("aborted", drift.trainer.aborted);
-    json.kv("drift_trips", drift.trainer.drift.trips);
-    json.kv("last_published_version", drift.trainer.last_published_version);
-    json.kv("last_candidate_regret", drift.trainer.last_candidate_regret);
-    json.kv("last_live_regret", drift.trainer.last_live_regret);
-    json.kv("last_candidate_rme", drift.trainer.last_candidate_rme);
-    json.kv("last_live_rme", drift.trainer.last_live_rme);
-    json.end_object();
-    json.key("journal");
-    json.begin_object();
-    json.kv("installs", drift.journal_installs);
-    json.kv("other", drift.journal_other);
-    json.kv("monotonic", drift.journal_monotonic);
-    json.kv("final_version", drift.final_version);
-    json.end_object();
-    json.kv("invalid_selections", drift.invalid);
-    json.kv("failed", drift.failed);
-    json.key("gates");
-    json.begin_object();
-    json.kv("accuracy_recovered", drift.gate_recovered);
-    json.kv("trainer_swap_journaled", drift.gate_swap);
-    json.kv("zero_invalid_and_failed", drift.gate_clean);
-    json.kv("final_rme_bounded", drift.gate_rme);
-    json.kv("pass", drift.pass);
-    json.end_object();
-    json.end_object();
-  }
-  const bool gate_rps = cfg.min_rps <= 0.0 || open_rps >= cfg.min_rps;
-  const bool gate_p99 =
-      cfg.max_p99_ms <= 0.0 || open_p.p99 <= cfg.max_p99_ms;
-  const bool gate_scorecard = score.total > 0 && score_failed == 0;
-  const bool gate_drift = !cfg.drift || drift.pass;
-  const bool pass = identical && versions_monotonic && closed_failed == 0 &&
-                    open_failed == 0 && gate_rps && gate_p99 &&
-                    gate_scorecard && gate_drift;
-  json.key("gates");
-  json.begin_object();
-  json.kv("min_rps", cfg.min_rps);
-  json.kv("max_p99_ms", cfg.max_p99_ms);
-  json.kv("achieved_rps_ok", gate_rps);
-  json.kv("p99_ok", gate_p99);
-  json.kv("scorecard_records_ok", gate_scorecard);
-  json.kv("drift_ok", gate_drift);
-  json.kv("pass", pass);
-  json.end_object();
-  json.end_object();
-  out << '\n';
-  std::printf("wrote %s\n", cfg.out_path.c_str());
-  if (!gate_rps)
-    std::printf("GATE FAIL: achieved %.0f req/s < --min-rps %.0f\n", open_rps,
-                cfg.min_rps);
-  if (!gate_p99)
-    std::printf("GATE FAIL: open-loop p99 %.2f ms > --max-p99-ms %.2f\n",
-                open_p.p99, cfg.max_p99_ms);
-  if (!gate_scorecard)
-    std::printf("GATE FAIL: scorecard records %llu (failed %llu) — "
-                "materialize requests produced no accuracy data\n",
-                static_cast<unsigned long long>(score.total),
-                static_cast<unsigned long long>(score_failed));
-  if (!gate_drift)
-    std::printf("GATE FAIL: drift scenario (recovered %d swap %d clean %d "
-                "rme %d)\n",
-                static_cast<int>(drift.gate_recovered),
-                static_cast<int>(drift.gate_swap),
-                static_cast<int>(drift.gate_clean),
-                static_cast<int>(drift.gate_rme));
-  return pass ? 0 : 1;
+  return rc;
 }
 
 }  // namespace

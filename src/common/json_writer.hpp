@@ -1,5 +1,5 @@
 // Minimal streaming JSON writer shared by the trace writer, --report and
-// bench/pipeline_bench.
+// the bench reports.
 //
 // Two properties the hand-rolled emitters it replaces did not guarantee:
 //  * string escaping is complete (quotes, backslashes, control bytes), and

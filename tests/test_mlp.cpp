@@ -1,8 +1,11 @@
 // MLP tests: classification/regression convergence, target standardisation,
-// ensemble averaging, seed determinism.
+// ensemble averaging, seed determinism, batched == per-sample forward.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -165,6 +168,38 @@ TEST(MlpEnsembleRegressor, AveragesMembers) {
 
 TEST(MlpEnsemble, RejectsZeroMembers) {
   EXPECT_THROW(MlpEnsembleRegressor(MlpParams{}, 0), Error);
+}
+
+TEST(Mlp, BatchedForwardMatchesPerSampleBitwise) {
+  // Serving and training run the batched forward pass; one-shot predict
+  // runs forward(). Both must give the same bytes for every row, whatever
+  // the batch size and wherever a row sits in its batch — including the
+  // short last batch when the batch size does not divide the rows.
+  constexpr int kRows = 500, kIn = 17, kOut = 6;
+  detail::MlpNet net;
+  net.init(kIn, kOut, MlpParams{});
+  Rng rng(7);
+  std::vector<double> x(static_cast<std::size_t>(kRows) * kIn);
+  for (double& v : x) v = rng.normal();
+
+  std::vector<std::vector<double>> expect;
+  for (int r = 0; r < kRows; ++r)
+    expect.push_back(net.forward(
+        std::vector<double>(x.begin() + r * kIn, x.begin() + (r + 1) * kIn)));
+
+  detail::MlpBatchScratch scratch;  // reused across batch sizes on purpose
+  for (const int batch : {1, 3, 64, 256, kRows}) {
+    for (int begin = 0; begin < kRows; begin += batch) {
+      const int rows = std::min(batch, kRows - begin);
+      const double* out = net.forward_batch(x.data() + begin * kIn, rows, scratch);
+      for (int r = 0; r < rows; ++r)
+        ASSERT_EQ(std::memcmp(out + r * kOut,
+                              expect[static_cast<std::size_t>(begin + r)].data(),
+                              kOut * sizeof(double)),
+                  0)
+            << "batch " << batch << ", row " << begin + r;
+    }
+  }
 }
 
 TEST(Mlp, RejectsEmptyTrainingData) {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -563,50 +565,66 @@ ServiceConfig quick_config() {
 TEST(ServeService, MatchesOneShotPredictions) {
   // The acceptance contract: batched serving answers are byte-identical
   // to one-shot library calls for the same matrix + model. MLP exercises
-  // the batched forward pass (bitwise-equal by design).
+  // the batched forward pass (bitwise-equal by design). Both dispatch
+  // layouts, several matrices, and each matrix asked twice so the second
+  // answer comes from the feature cache.
   auto mlp = std::make_shared<FormatSelector>(ModelKind::kMlp,
                                               FeatureSet::kSet12, kAllFormats,
                                               /*fast=*/true);
   mlp->fit(shared_corpus(), 0, Precision::kDouble);
   ModelRegistry registry;
   registry.install(mlp, tree_perf());
-  Service service(quick_config(), registry);
 
-  TempMatrixFile file("test_serve_oneshot.tmp.mtx", 4242);
-  const auto matrix = read_matrix_market(file.path);
-  const auto features = extract_features(matrix);
+  std::vector<std::unique_ptr<TempMatrixFile>> files;
+  for (const int seed : {4242, 777, 778, 779})
+    files.push_back(std::make_unique<TempMatrixFile>(
+        "test_serve_oneshot" + std::to_string(seed) + ".tmp.mtx", seed));
 
-  Request req;
-  req.id = "sel";
-  req.mode = RequestMode::kSelect;
-  req.matrix_path = file.path;
-  const Response sel = service.call(req);
-  ASSERT_TRUE(sel.ok) << sel.error;
-  EXPECT_EQ(sel.format, mlp->select(features));
-  EXPECT_FALSE(sel.degraded);
+  for (const int shards : {1, 4}) {
+    ServiceConfig cfg = quick_config();
+    cfg.dispatch_shards = shards;
+    Service service(cfg, registry);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& file : files) {
+        SCOPED_TRACE(file->path + ", shards " + std::to_string(shards) +
+                     ", pass " + std::to_string(pass));
+        const auto matrix = read_matrix_market(file->path);
+        const auto features = extract_features(matrix);
 
-  req.id = "prd";
-  req.mode = RequestMode::kPredict;
-  const Response prd = service.call(req);
-  ASSERT_TRUE(prd.ok) << prd.error;
-  ASSERT_EQ(prd.predicted_us.size(), tree_perf()->formats().size());
-  for (std::size_t k = 0; k < prd.predicted_us.size(); ++k) {
-    const auto [f, us] = prd.predicted_us[k];
-    EXPECT_EQ(f, tree_perf()->formats()[k]);
-    EXPECT_EQ(us, tree_perf()->predict_seconds(features, f) * 1e6);
+        Request req;
+        req.id = "sel";
+        req.mode = RequestMode::kSelect;
+        req.matrix_path = file->path;
+        const Response sel = service.call(req);
+        ASSERT_TRUE(sel.ok) << sel.error;
+        EXPECT_EQ(sel.format, mlp->select(features));
+        EXPECT_FALSE(sel.degraded);
+
+        req.id = "prd";
+        req.mode = RequestMode::kPredict;
+        const Response prd = service.call(req);
+        ASSERT_TRUE(prd.ok) << prd.error;
+        ASSERT_EQ(prd.predicted_us.size(), tree_perf()->formats().size());
+        for (std::size_t k = 0; k < prd.predicted_us.size(); ++k) {
+          const auto [f, us] = prd.predicted_us[k];
+          EXPECT_EQ(f, tree_perf()->formats()[k]);
+          EXPECT_EQ(us, tree_perf()->predict_seconds(features, f) * 1e6);
+        }
+
+        req.id = "ind";
+        req.mode = RequestMode::kIndirect;
+        const Response ind = service.call(req);
+        ASSERT_TRUE(ind.ok) << ind.error;
+        // Indirect = argmin of the same regressor outputs.
+        Format best = prd.predicted_us.front().first;
+        double best_us = prd.predicted_us.front().second;
+        for (const auto& [f, us] : prd.predicted_us)
+          if (us < best_us) { best = f; best_us = us; }
+        EXPECT_EQ(ind.format, best);
+        EXPECT_FALSE(ind.degraded);
+      }
+    }
   }
-
-  req.id = "ind";
-  req.mode = RequestMode::kIndirect;
-  const Response ind = service.call(req);
-  ASSERT_TRUE(ind.ok) << ind.error;
-  // Indirect = argmin of the same regressor outputs.
-  Format best = prd.predicted_us.front().first;
-  double best_us = prd.predicted_us.front().second;
-  for (const auto& [f, us] : prd.predicted_us)
-    if (us < best_us) { best = f; best_us = us; }
-  EXPECT_EQ(ind.format, best);
-  EXPECT_FALSE(ind.degraded);
 }
 
 TEST(ServeService, MicroBatchingCoalesces) {
@@ -836,51 +854,58 @@ TEST(ServeService, HotSwapUnderLoad) {
       ModelKind::kDecisionTree, FeatureSet::kSet1, kAllFormats,
       /*fast=*/true);
   selector_b->fit(shared_corpus(), 0, Precision::kDouble);
+  constexpr RequestMode kModes[] = {RequestMode::kSelect,
+                                    RequestMode::kIndirect,
+                                    RequestMode::kPredict};
 
-  ModelRegistry registry;
-  registry.install(tree_selector(), tree_perf());
-  ServiceConfig cfg;
-  cfg.threads = 4;
-  cfg.max_batch = 8;
-  Service service(cfg, registry);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ModelRegistry registry;
+    registry.install(tree_selector(), tree_perf());
+    ServiceConfig cfg;
+    cfg.threads = 4;
+    cfg.max_batch = 8;
+    cfg.dispatch_shards = shards;
+    Service service(cfg, registry);
 
-  constexpr int kClients = 4, kPerClient = 50, kSwaps = 10;
-  std::atomic<int> failures{0};
-  std::atomic<bool> monotonic{true};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      std::uint64_t last = 0;
-      for (int k = 0; k < kPerClient; ++k) {
-        const Response r = service.call(inline_request(
-            "h" + std::to_string(c) + "-" + std::to_string(k),
-            k % 2 == 0 ? RequestMode::kSelect : RequestMode::kIndirect,
-            k % 5));
-        if (!r.ok) failures.fetch_add(1);
-        // No torn reads: every response carries a version that exists,
-        // and versions never move backwards for a single client.
-        if (r.model_version < last || r.model_version == 0 ||
-            r.model_version > kSwaps + 1)
-          monotonic.store(false);
-        last = r.model_version;
+    constexpr int kClients = 4, kPerClient = 50, kSwaps = 10;
+    std::atomic<int> failures{0};
+    std::atomic<bool> monotonic{true};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::uint64_t last = 0;
+        for (int k = 0; k < kPerClient; ++k) {
+          const Response r = service.call(inline_request(
+              "h" + std::to_string(c) + "-" + std::to_string(k),
+              kModes[(c + k) % 3], k % 5));
+          if (!r.ok) failures.fetch_add(1);
+          // No torn reads: every response carries a version that exists,
+          // and versions never move backwards for a single client.
+          if (r.model_version < last || r.model_version == 0 ||
+              r.model_version > kSwaps + 1)
+            monotonic.store(false);
+          last = r.model_version;
+        }
+      });
+    }
+    std::thread swapper([&] {
+      for (int s = 0; s < kSwaps; ++s) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        registry.install(s % 2 == 0 ? selector_b : tree_selector(),
+                         tree_perf());
       }
     });
-  }
-  std::thread swapper([&] {
-    for (int s = 0; s < kSwaps; ++s) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      registry.install(s % 2 == 0 ? selector_b : tree_selector(), tree_perf());
-    }
-  });
-  for (auto& t : clients) t.join();
-  swapper.join();
-  service.shutdown();
+    for (auto& t : clients) t.join();
+    swapper.join();
+    service.shutdown();
 
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_TRUE(monotonic.load());
-  EXPECT_EQ(registry.version(), static_cast<std::uint64_t>(kSwaps) + 1);
-  EXPECT_EQ(service.counters().served,
-            static_cast<std::uint64_t>(kClients) * kPerClient);
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_TRUE(monotonic.load());
+    EXPECT_EQ(registry.version(), static_cast<std::uint64_t>(kSwaps) + 1);
+    EXPECT_EQ(service.counters().served,
+              static_cast<std::uint64_t>(kClients) * kPerClient);
+  }
 }
 
 // --- Request-scoped telemetry --------------------------------------------
@@ -905,6 +930,10 @@ TEST(ServeService, MaterializeRecordsScorecardEntry) {
   const auto summary = service.scorecard().summary();
   EXPECT_EQ(summary.total, 1u);
   EXPECT_EQ(summary.window, 1u);
+  EXPECT_EQ(summary.scored, 1u);
+  EXPECT_TRUE(summary.accuracy == 0.0 || summary.accuracy == 1.0);
+  EXPECT_TRUE(std::isfinite(summary.rme));
+  EXPECT_GE(summary.rme, 0.0);
   const auto entries = service.scorecard().entries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].chosen, r.format);
@@ -942,6 +971,66 @@ TEST(ServeService, SampledRequestEmitsIdTaggedSpans) {
   EXPECT_NE(trace.find("req.queue"), std::string::npos);
   EXPECT_NE(trace.find("req.done"), std::string::npos);
   EXPECT_NE(trace.find("traced-req-1"), std::string::npos);
+}
+
+TEST(ServeService, TracedOpenLoopAtFourShardsServesEveryRequest) {
+  // Serving with the telemetry plane on: tracing active and 1 in 100
+  // requests sampled, at 4 workers and 4 dispatch shards with admission
+  // shedding, under paced open-loop traffic (1000 req/s offered, rotating
+  // modes over four files). Every request must be served, and exactly the
+  // sampled requests leave the server's id-tagged span trail.
+  ModelRegistry registry;
+  registry.install(tree_selector(), tree_perf());
+  ServiceConfig cfg;
+  cfg.threads = 4;
+  cfg.max_batch = 8;
+  cfg.queue_capacity = 1024;
+  cfg.dispatch_shards = 4;
+  cfg.admission_target_ms = 150.0;
+
+  std::vector<std::unique_ptr<TempMatrixFile>> files;
+  for (const int seed : {777, 778, 779, 780})
+    files.push_back(std::make_unique<TempMatrixFile>(
+        "test_serve_traced" + std::to_string(seed) + ".tmp.mtx", seed));
+  constexpr RequestMode kModes[] = {RequestMode::kSelect,
+                                    RequestMode::kIndirect,
+                                    RequestMode::kPredict};
+  constexpr int kRequests = 200, kSampleEvery = 100;
+
+  obs::trace_start("");
+  std::vector<Response> responses;
+  std::vector<obs::TraceEvent> events;
+  {
+    Service service(cfg, registry);
+    std::vector<std::future<Response>> futures;
+    const auto interval = std::chrono::microseconds(1000);
+    const auto start = std::chrono::steady_clock::now();
+    for (int k = 0; k < kRequests; ++k) {
+      std::this_thread::sleep_until(start + k * interval);
+      Request req;
+      req.id = "o" + std::to_string(k);
+      req.mode = kModes[k % 3];
+      req.matrix_path = files[static_cast<std::size_t>(k) % files.size()]->path;
+      req.trace_sampled = k % kSampleEvery == 0;
+      futures.push_back(service.submit(std::move(req)));
+    }
+    for (auto& f : futures) responses.push_back(f.get());
+    service.shutdown();
+    events = obs::trace_snapshot();
+  }
+  obs::trace_stop();
+
+  for (const Response& r : responses) EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
+  std::set<std::string> traced_ids, done_ids;
+  for (const auto& e : events)
+    for (const auto& arg : e.args)
+      if (arg.key == "id") {
+        traced_ids.insert(arg.json);
+        if (e.name == "req.done") done_ids.insert(arg.json);
+      }
+  const std::set<std::string> sampled = {"\"o0\"", "\"o100\""};
+  EXPECT_EQ(traced_ids, sampled);
+  EXPECT_EQ(done_ids, sampled);
 }
 
 /// Strip the fields that legitimately vary run-to-run (wall-clock

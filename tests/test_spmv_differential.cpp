@@ -63,16 +63,16 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 using Param = std::tuple<MatrixFamily, double /*mu*/, double /*cv*/,
-                         std::uint64_t /*seed*/>;
+                         std::uint64_t /*seed*/, index_t /*rows*/>;
 
 class SpmvDifferential : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SpmvDifferential, SerialSimdParallelBitwiseIdentical) {
-  const auto [family, mu, cv, seed] = GetParam();
+  const auto [family, mu, cv, seed, rows] = GetParam();
   GenSpec spec;
   spec.family = family;
-  spec.rows = 500;
-  spec.cols = 470;
+  spec.rows = rows;
+  spec.cols = rows * 47 / 50;  // 470 at 500 rows
   spec.row_mu = mu;
   spec.row_cv = cv;
   spec.seed = seed;
@@ -100,7 +100,10 @@ TEST_P(SpmvDifferential, SerialSimdParallelBitwiseIdentical) {
 }
 
 TEST_P(SpmvDifferential, FromCsrToCsrRoundTrips) {
-  const auto [family, mu, cv, seed] = GetParam();
+  // The round trip does not depend on how the parallel kernels split the
+  // rows, so it keeps one small shape whatever the rows parameter.
+  const auto [family, mu, cv, seed, rows] = GetParam();
+  (void)rows;
   GenSpec spec;
   spec.family = family;
   spec.rows = 300;
@@ -125,7 +128,18 @@ INSTANTIATE_TEST_SUITE_P(
                           MatrixFamily::kGeomGraph),
         ::testing::Values(4.0, 24.0),  // below and above the dot cutoff
         ::testing::Values(0.3, 1.2),
-        ::testing::Values(7ULL, 1234ULL)));
+        ::testing::Values(7ULL, 1234ULL),
+        ::testing::Values(index_t{500})));
+
+// 500 rows is below kMinTaskRows, so every parallel kernel above runs as
+// one task; these 2048-row matrices split into several.
+INSTANTIATE_TEST_SUITE_P(
+    MultiTask, SpmvDifferential,
+    ::testing::Combine(::testing::Values(MatrixFamily::kUniformRandom,
+                                         MatrixFamily::kBanded),
+                       ::testing::Values(16.0), ::testing::Values(0.3),
+                       ::testing::Values(42ULL),
+                       ::testing::Values(index_t{2048})));
 
 // --- SELL-C-sigma across the (C, sigma) tuning surface ---------------------
 // The generic suite above covers SELL at the default (32, 128); this one

@@ -3,9 +3,12 @@
 #
 #   tools/check.sh            # configure + build + ctest (the tier-1 gate),
 #                             # then the serving dispatcher tests 30 times,
-#                             # the collector checkpoint tests 20 times
-#                             # and the parallel SpMV tests again at
-#                             # OMP_NUM_THREADS=3
+#                             # the collector checkpoint tests 20 times,
+#                             # the parallel SpMV tests again at
+#                             # OMP_NUM_THREADS=3, and the benchmark's
+#                             # smoke runs (benchmark/run.sh all --smoke,
+#                             # whose output checks fail the pass) and
+#                             # self-test
 #   tools/check.sh --asan     # same, in a separate build dir with
 #                             # -fsanitize=address,undefined
 #   tools/check.sh --tsan     # ThreadSanitizer over the concurrency tests
@@ -19,17 +22,27 @@
 #   tools/check.sh --simd-off # full suite with -DSPMVML_FORCE_SCALAR=ON:
 #                             # the SIMD tiers compiled out, every kernel on
 #                             # the scalar reference — the differential
-#                             # tests and the bench's bitwise assertions
-#                             # must hold there too
+#                             # tests must hold there too
 #   tools/check.sh --chaos    # chaos smoke under asan: the scripted
 #                             # fault-burst bench plus the chaos/breaker/
 #                             # robustness/drain tests, with every injected
 #                             # fault path running under the sanitizer
 #
-# Each pass uses its own build directory and leaves ./build alone.
+# Each pass uses its own build directory and leaves ./build alone. Every
+# pass fails if it changes a tracked file, even one already modified
+# before it ran: what a pass writes belongs in a build directory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# The names and the content of every tracked file that differs from HEAD:
+# a pass that rewrites an already-modified file changes the checksum.
+# Outside a git checkout both snapshots are equal and the check is moot.
+tracked_state() {
+  git status --porcelain --untracked-files=no 2>/dev/null || true
+  { git diff HEAD --binary 2>/dev/null || true; } | cksum
+}
+tree_before=$(tracked_state)
 
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
@@ -64,7 +77,6 @@ elif [[ "${1:-}" == "--chaos" ]]; then
 elif [[ "${1:-}" == "--simd-off" ]]; then
   echo "== scalar-fallback pass (SIMD tiers compiled out) =="
   run_suite build-simd-off -DSPMVML_FORCE_SCALAR=ON
-  ./build-simd-off/bench/spmv_kernels --smoke --out build-simd-off/BENCH_spmv.json
 else
   echo "== tier-1 verify =="
   # Latency and deadline math must use the monotonic clock; system_clock
@@ -107,10 +119,18 @@ else
     -R 'ParallelSpmv|ParallelMatchesSerial|MergeParallel|Differential'
   echo "== sidecar self-test (binary CSR round-trip, bitwise) =="
   ./build/tools/spmvml sidecar --self-test
-  echo "== serving smoke (BENCH_serving.json schema + contract check) =="
-  ./build/bench/serving_bench --smoke --out build/BENCH_serving.json
-  echo "== spmv smoke (BENCH_spmv.json bitwise contract check) =="
-  ./build/bench/spmv_kernels --smoke --out build/BENCH_spmv.json
+  # Every workload once on the small inputs: a failed request, a wrong
+  # answer or a failed output check exits non-zero.
+  echo "== benchmark smoke (all workloads) + self-test =="
+  benchmark/run.sh all --smoke
+  ctest --test-dir benchmark/build --output-on-failure -L benchmark
+fi
+
+if [[ "$(tracked_state)" != "$tree_before" ]]; then
+  git status --porcelain --untracked-files=no
+  echo "error: this pass changed tracked files; write outputs under a" \
+    "build directory" >&2
+  exit 1
 fi
 
 echo "OK"
