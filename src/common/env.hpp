@@ -8,42 +8,13 @@
 //   SPMVML_THREADS       — worker threads for parallel collection and the
 //                          pipeline bench (default 1 = serial)
 //
-// Serving knobs (read by tools/spmvml_cli.cpp via the helpers here; the
-// matching command-line flag wins over the env var):
-//
-//   SPMVML_INGEST_CACHE_MB — byte budget (in MB) of the serving
-//                          materialized-matrix cache (default 256; 0
-//                          disables caching, loads still coalesce)
-//   SPMVML_SHARDS        — serving dispatch shards (default 1 = the
-//                          single-dispatcher layout)
-//
-// Online-learning knobs (serve --learn family; DESIGN.md §5k):
-//
-//   SPMVML_LEARN         — 1 enables the online learning loop: shadow
-//                          probes, replay buffer, drift detection,
-//                          background retraining with validated hot-swap
-//                          (default 0 = off, serving byte-identical to a
-//                          build without the subsystem)
-//   SPMVML_LEARN_REPLAY_CAP — replay-buffer sample capacity (default
-//                          4096; reservoir-style eviction past it)
-//   SPMVML_LEARN_DRIFT_RME — windowed relative-model-error threshold
-//                          that counts a window as drifted (default 0.5)
-//   SPMVML_LEARN_RETRAIN_EVERY_S — periodic retrain interval in seconds
-//                          on top of drift-triggered retraining
-//                          (default 0 = drift-only)
-//
 // Observability knobs (read by common/obs/, not via the helpers here):
 //
 //   SPMVML_LOG           — structured-log level: debug|info|warn|error|off
 //                          (default off; data outputs stay byte-identical)
 //   SPMVML_TRACE         — path for a Chrome trace-event JSON of the run
-//   SPMVML_TRACE_SAMPLE  — serving per-request trace sampling: every Nth
-//                          parsed request gets id-tagged spans (1 = all,
-//                          default 0 = off; `serve --trace-sample` wins;
-//                          DESIGN.md §5j)
-//   SPMVML_STATS_EVERY_S — serving periodic metrics-snapshot interval in
-//                          seconds, written to `serve --stats-file` by
-//                          atomic rename (default 0 = off; the flag wins)
+//
+// Serving is configured by `spmvml serve` flags alone.
 //
 // Chaos knob (read by common/chaos/, not via the helpers here):
 //

@@ -7,7 +7,8 @@
 // the working set stays in L1, and (c) a deterministic accumulation
 // order: every output element sums its reduction in ascending-k order and
 // is owned by exactly one parallel_for iteration, so results are bitwise
-// identical for any thread count.
+// identical for any thread count. Each kernel runs on the pool it is
+// given, by default ThreadPool::current().
 #pragma once
 
 #include <algorithm>
@@ -29,7 +30,8 @@ inline constexpr int kGemmTileK = 256;
 /// MLP forward shape: activations (batch x in) times a weight matrix
 /// stored out x in.
 inline void gemm_nt(int m, int n, int k, const double* a, const double* b,
-                    const double* bias, double* c) {
+                    const double* bias, double* c,
+                    ThreadPool& pool = ThreadPool::current()) {
   parallel_for(m, kGemmRowGrain, [&](std::int64_t i) {
     const double* arow = a + i * k;
     double* crow = c + i * n;
@@ -43,14 +45,15 @@ inline void gemm_nt(int m, int n, int k, const double* a, const double* b,
         crow[j] = sum;
       }
     }
-  });
+  }, pool);
 }
 
 /// C (m x n) = A (m x k) * B (k x n), both row-major. This is the MLP
 /// delta back-propagation shape: batch x out deltas times the out x in
 /// weight matrix.
 inline void gemm_nn(int m, int n, int k, const double* a, const double* b,
-                    double* c) {
+                    double* c,
+                    ThreadPool& pool = ThreadPool::current()) {
   parallel_for(m, kGemmRowGrain, [&](std::int64_t i) {
     const double* arow = a + i * k;
     double* crow = c + i * n;
@@ -63,14 +66,15 @@ inline void gemm_nn(int m, int n, int k, const double* a, const double* b,
       const double* brow = b + static_cast<std::int64_t>(kk) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  });
+  }, pool);
 }
 
 /// C (m x n) = A^T * B where A is k x m and B is k x n, both row-major.
 /// This is the MLP weight-gradient shape: (batch x out)^T deltas times
 /// batch x in activations, reducing over the batch.
 inline void gemm_tn(int m, int n, int k, const double* a, const double* b,
-                    double* c) {
+                    double* c,
+                    ThreadPool& pool = ThreadPool::current()) {
   parallel_for(m, kGemmRowGrain, [&](std::int64_t i) {
     double* crow = c + i * n;
     std::fill(crow, crow + n, 0.0);
@@ -80,7 +84,7 @@ inline void gemm_tn(int m, int n, int k, const double* a, const double* b,
       const double* brow = b + static_cast<std::int64_t>(kk) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  });
+  }, pool);
 }
 
 }  // namespace spmvml

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/obs/metrics.hpp"
 #include "common/obs/trace.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -61,11 +60,9 @@ inline void scan_row(const CsrPatternView& m, index_t r, StructureStats& s) {
 /// identical whether the blocks run serially or in parallel.
 constexpr index_t kFeatureRowBlock = 4096;
 
-/// Scan all rows block-by-block, merging block accumulators in row order.
-/// The blocks run cooperatively on `pool` when one is given, else through
-/// parallel_for (in parallel under OpenMP); either way the result is
-/// byte-identical to a serial scan.
-StructureStats scan_structure(CsrPatternView m, ThreadPool* pool) {
+/// Scan all rows block-by-block on `pool`, merging block accumulators in
+/// row order; the result is byte-identical to a serial scan.
+StructureStats scan_structure(CsrPatternView m, ThreadPool& pool) {
   const index_t rows = m.rows();
   StructureStats total;
   if (rows <= kFeatureRowBlock) {
@@ -75,15 +72,15 @@ StructureStats scan_structure(CsrPatternView m, ThreadPool* pool) {
   const index_t blocks = (rows + kFeatureRowBlock - 1) / kFeatureRowBlock;
   std::vector<StructureStats> block_stats(static_cast<std::size_t>(blocks));
   const auto scan_block = [&](std::int64_t b) {
-    auto& s = block_stats[static_cast<std::size_t>(b)];
+    // Accumulate locally: neighbouring slots share cache lines, and
+    // another thread may be scanning the next block.
+    StructureStats s;
     const index_t r0 = static_cast<index_t>(b) * kFeatureRowBlock;
     const index_t r1 = std::min(rows, r0 + kFeatureRowBlock);
     for (index_t r = r0; r < r1; ++r) scan_row(m, r, s);
+    block_stats[static_cast<std::size_t>(b)] = s;
   };
-  if (pool != nullptr)
-    pool->cooperative_for(blocks, scan_block);
-  else
-    parallel_for(blocks, /*min_parallel_n=*/2, scan_block);
+  pool.cooperative_for(blocks, scan_block);
   for (const auto& s : block_stats) total.merge(s);
   return total;
 }
@@ -150,9 +147,7 @@ std::vector<double> FeatureVector::select(std::span<const int> indices) const {
 
 namespace {
 
-/// Assemble the 17-feature vector from the structure scan; shared by the
-/// serial/OpenMP and thread-pool extraction routes so both are the same
-/// arithmetic on the same accumulators.
+/// Assemble the 17-feature vector from the structure scan.
 FeatureVector assemble_features(CsrPatternView m,
                                 const StructureStats& scan) {
   FeatureVector f;
@@ -199,15 +194,8 @@ void count_extraction(CsrPatternView m, obs::TraceSpan& span) {
 
 }  // namespace
 
-FeatureVector extract_features(CsrPatternView m) {
+FeatureVector extract_features(CsrPatternView m, ThreadPool& pool) {
   obs::TraceSpan span("features.extract");
-  count_extraction(m, span);
-  return assemble_features(m, scan_structure(m, nullptr));
-}
-
-FeatureVector extract_features(CsrPatternView m, ThreadPool* pool) {
-  if (pool == nullptr) return extract_features(m);
-  obs::TraceSpan span("features.extract_pool");
   count_extraction(m, span);
   return assemble_features(m, scan_structure(m, pool));
 }

@@ -12,11 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "sparse/csr.hpp"
 
 namespace spmvml {
-
-class ThreadPool;  // forward declaration; defined in common/thread_pool.hpp
 
 inline constexpr int kNumFeatures = 17;
 
@@ -69,20 +68,16 @@ struct FeatureVector {
   std::vector<double> select(std::span<const int> indices) const;
 };
 
-/// One O(nnz) scan over the CSR structure (values are never read).
-FeatureVector extract_features(CsrPatternView m);
-
-/// Blocked-parallel extraction on a shared thread pool: the fixed
-/// 4096-row block partition is scanned cooperatively
-/// (ThreadPool::cooperative_for: idle workers help, the caller
-/// participates, so a saturated pool degrades to the serial scan instead
-/// of deadlocking) and block accumulators merge in row order via the
-/// exact StreamingStats::merge — the result is byte-identical to
-/// extract_features(m) at any pool size, including when the caller is
-/// itself a pool worker (the serving batch path). It never starts an
-/// OpenMP team, whatever the pool's size. pool == nullptr degrades to
-/// extract_features(m).
-FeatureVector extract_features(CsrPatternView m, ThreadPool* pool);
+/// One O(nnz) scan over the CSR structure (values are never read). A
+/// matrix of more than 4096 rows is scanned in fixed 4096-row blocks,
+/// cooperatively on `pool` (ThreadPool::cooperative_for: idle workers
+/// help, the caller participates, so a saturated pool degrades to the
+/// caller scanning alone instead of deadlocking), and the block
+/// accumulators merge in row order via the exact StreamingStats::merge:
+/// the result is byte-identical at any pool size, including when the
+/// caller is itself a pool worker (the serving batch path).
+FeatureVector extract_features(CsrPatternView m,
+                               ThreadPool& pool = ThreadPool::current());
 
 /// Approximate extraction from a random row sample (O(nnz * fraction)):
 /// set-1 features stay exact (they are O(1) from CSR metadata); set-2/3

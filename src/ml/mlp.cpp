@@ -46,7 +46,8 @@ void MlpNet::init(int in, int out, const MlpParams& p) {
 }
 
 const double* MlpNet::forward_batch(const double* x, int rows,
-                                    MlpBatchScratch& scratch) const {
+                                    MlpBatchScratch& scratch,
+                                    ThreadPool& pool) const {
   const std::size_t L = layers_.size();
   scratch.act.resize(L);
   const double* cur = x;
@@ -56,7 +57,7 @@ const double* MlpNet::forward_batch(const double* x, int rows,
     out.resize(static_cast<std::size_t>(rows) *
                static_cast<std::size_t>(layer.out));
     gemm_nt(rows, layer.out, layer.in, cur, layer.w.data(), layer.b.data(),
-            out.data());
+            out.data(), pool);
     if (l + 1 < L)
       for (double& v : out) v = v > 0.0 ? v : 0.0;  // ReLU on hidden layers
     cur = out.data();

@@ -12,6 +12,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "ml/model.hpp"
 
 namespace spmvml::ml {
@@ -54,10 +55,12 @@ class MlpNet {
 
   /// Forward `rows` samples stored contiguously row-major in `x`
   /// (rows x in). Returns a pointer to the rows x out raw outputs, owned
-  /// by `scratch` and valid until its next use. Deterministic: results
-  /// are bitwise identical to per-sample forward() for any thread count.
+  /// by `scratch` and valid until its next use. The GEMMs run on `pool`.
+  /// Deterministic: results are bitwise identical to per-sample forward()
+  /// for any thread count.
   const double* forward_batch(const double* x, int rows,
-                              MlpBatchScratch& scratch) const;
+                              MlpBatchScratch& scratch,
+                              ThreadPool& pool = ThreadPool::current()) const;
 
   std::vector<MlpLayer>& layers() { return layers_; }
   const std::vector<MlpLayer>& layers() const { return layers_; }

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/chaos/chaos.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/json_writer.hpp"
 #include "features/features.hpp"
@@ -216,24 +215,15 @@ bool field_as_bool(const std::string& key, const Field& f) {
   return f.boolean;
 }
 
-// Per-request trace sampling: -1 = uninitialised (first trace_sample()
-// call reads SPMVML_TRACE_SAMPLE), 0 = off, N = every Nth request.
-std::atomic<int> g_trace_sample{-1};
+// Per-request trace sampling: 0 = off, N = every Nth request.
+std::atomic<int> g_trace_sample{0};
 // Monotonic parse sequence: drives both generated `srv-<seq>` ids and
 // the 1-in-N sampling decision.
 std::atomic<std::uint64_t> g_request_seq{0};
 
 }  // namespace
 
-int trace_sample() {
-  int n = g_trace_sample.load(std::memory_order_relaxed);
-  if (n < 0) {
-    n = static_cast<int>(env_int("SPMVML_TRACE_SAMPLE", 0));
-    if (n < 0) n = 0;
-    g_trace_sample.store(n, std::memory_order_relaxed);
-  }
-  return n;
-}
+int trace_sample() { return g_trace_sample.load(std::memory_order_relaxed); }
 
 void set_trace_sample(int n) {
   g_trace_sample.store(n < 0 ? 0 : n, std::memory_order_relaxed);

@@ -37,8 +37,8 @@ struct Request {
   /// the request through admission, shard queues, batch stages and
   /// materialization.
   std::string id;
-  /// True when the per-request trace sampler (`--trace-sample=N` /
-  /// SPMVML_TRACE_SAMPLE) picked this request: the service emits
+  /// True when the per-request trace sampler (`--trace-sample=N`)
+  /// picked this request: the service emits
   /// id-tagged spans for it. False = only batch-level spans.
   bool trace_sampled = false;
   RequestMode mode = RequestMode::kSelect;
@@ -76,8 +76,8 @@ struct AdminCommand {
 };
 
 /// Per-request trace sampling rate: every Nth parsed request is marked
-/// trace_sampled (1 = every request, 0 = none). The first call reads
-/// SPMVML_TRACE_SAMPLE; `serve --trace-sample=N` overrides it.
+/// trace_sampled (1 = every request, 0 = none, the default); `serve
+/// --trace-sample=N` sets it.
 int trace_sample();
 void set_trace_sample(int n);
 

@@ -511,7 +511,7 @@ void Service::resolve_features(const Request& req, Slot& s) {
         } else {
           // The pool workers cooperate on the blocked scan and the caller
           // participates, so this is safe even though we ARE a worker.
-          s.features = extract_features(*view, &pool_);
+          s.features = extract_features(*view, pool_);
           s.summary = summarize(*view);
           if (fault.kind == chaos::FaultKind::kCorrupt)
             for (double& v : s.features.values) v = -v;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/env.hpp"
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "thread_counts.hpp"
 
 namespace spmvml {
 namespace {
@@ -231,6 +233,35 @@ TEST(Parallel, ParallelForCoversAllIndices) {
                [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
   EXPECT_GE(parallel_threads(), 1);
+  at_each_thread_count([](ThreadPool& pool, int threads) {
+    EXPECT_EQ(parallel_threads(pool), threads);
+    for (const std::int64_t n : {0, 1, 3, 5000}) {
+      std::vector<int> runs(static_cast<std::size_t>(n), 0);
+      parallel_for(
+          n, /*min_parallel_n=*/2,
+          [&](std::int64_t i) { runs[static_cast<std::size_t>(i)]++; }, pool);
+      for (int r : runs) EXPECT_EQ(r, 1) << "n=" << n << " threads=" << threads;
+    }
+  });
+}
+
+TEST(Parallel, ExceptionIsRethrownAfterEveryIndexRan) {
+  // Below and above the parallel threshold: an index that throws stops
+  // neither its own chunk nor the others.
+  at_each_thread_count([](ThreadPool& pool, int threads) {
+    for (const std::int64_t n : {100, 5000}) {
+      std::vector<int> runs(static_cast<std::size_t>(n), 0);
+      EXPECT_THROW(parallel_for(
+                       n, /*min_parallel_n=*/1024,
+                       [&](std::int64_t i) {
+                         runs[static_cast<std::size_t>(i)]++;
+                         if (i % 97 == 5) throw std::runtime_error("boom");
+                       },
+                       pool),
+                   std::runtime_error);
+      for (int r : runs) EXPECT_EQ(r, 1) << "n=" << n << " threads=" << threads;
+    }
+  });
 }
 
 TEST(Ensure, ThrowsWithMessage) {

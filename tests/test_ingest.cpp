@@ -360,6 +360,7 @@ TEST(IngestCache, StatCacheInvalidatesOnRewrite) {
 // --- Pool-blocked feature extraction --------------------------------------
 
 TEST(IngestFeatures, PoolExtractionBitwiseMatchesSerial) {
+  ThreadPool alone(0);  // the caller scans every block itself
   ThreadPool pool(4);
   // Small matrices (single block) and one spanning many 4096-row blocks.
   std::vector<GenSpec> specs = {make_small_plan(1, 71).specs[0],
@@ -372,15 +373,15 @@ TEST(IngestFeatures, PoolExtractionBitwiseMatchesSerial) {
 
   for (const GenSpec& spec : specs) {
     const Csr<double> m = generate(spec);
-    const FeatureVector serial = extract_features(m);
-    const FeatureVector pooled = extract_features(m, &pool);
+    const FeatureVector serial = extract_features(m, alone);
+    const FeatureVector pooled = extract_features(m, pool);
     EXPECT_EQ(std::memcmp(serial.values.data(), pooled.values.data(),
                           sizeof(serial.values)),
               0)
         << "rows=" << m.rows();
-    // nullptr pool degrades to the serial path.
-    const FeatureVector none = extract_features(m, nullptr);
-    EXPECT_EQ(std::memcmp(serial.values.data(), none.values.data(),
+    // The default runs on the process pool.
+    const FeatureVector process = extract_features(m);
+    EXPECT_EQ(std::memcmp(serial.values.data(), process.values.data(),
                           sizeof(serial.values)),
               0);
   }

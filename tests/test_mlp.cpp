@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
+#include "thread_counts.hpp"
 
 namespace spmvml::ml {
 namespace {
@@ -188,18 +189,23 @@ TEST(Mlp, BatchedForwardMatchesPerSampleBitwise) {
         std::vector<double>(x.begin() + r * kIn, x.begin() + (r + 1) * kIn)));
 
   detail::MlpBatchScratch scratch;  // reused across batch sizes on purpose
-  for (const int batch : {1, 3, 64, 256, kRows}) {
-    for (int begin = 0; begin < kRows; begin += batch) {
-      const int rows = std::min(batch, kRows - begin);
-      const double* out = net.forward_batch(x.data() + begin * kIn, rows, scratch);
-      for (int r = 0; r < rows; ++r)
-        ASSERT_EQ(std::memcmp(out + r * kOut,
-                              expect[static_cast<std::size_t>(begin + r)].data(),
-                              kOut * sizeof(double)),
-                  0)
-            << "batch " << batch << ", row " << begin + r;
+  at_each_thread_count([&](ThreadPool& pool, int threads) {
+    for (const int batch : {1, 3, 64, 256, kRows}) {
+      for (int begin = 0; begin < kRows; begin += batch) {
+        const int rows = std::min(batch, kRows - begin);
+        const double* out =
+            net.forward_batch(x.data() + begin * kIn, rows, scratch, pool);
+        for (int r = 0; r < rows; ++r)
+          ASSERT_EQ(
+              std::memcmp(out + r * kOut,
+                          expect[static_cast<std::size_t>(begin + r)].data(),
+                          kOut * sizeof(double)),
+              0)
+              << "batch " << batch << ", row " << begin + r << ", threads "
+              << threads;
+      }
     }
-  }
+  });
 }
 
 TEST(Mlp, RejectsEmptyTrainingData) {

@@ -9,14 +9,11 @@
 #include <cstring>
 #include <vector>
 
-#ifdef SPMVML_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "common/rng.hpp"
 #include "sparse/parallel_spmv.hpp"
 #include "sparse/spmv.hpp"
 #include "synth/generators.hpp"
+#include "thread_counts.hpp"
 
 namespace spmvml {
 namespace {
@@ -137,34 +134,22 @@ TEST(ParallelSpmv, EmptyRowsProduceZero) {
   EXPECT_DOUBLE_EQ(y[4], 3.0);
 }
 
-// Runs fn once per thread count the build can exercise, then restores the
-// caller's OpenMP thread count.
-template <typename Fn>
-void at_each_thread_count(Fn&& fn) {
-#ifdef SPMVML_HAVE_OPENMP
-  const int saved = omp_get_max_threads();
-  for (int threads : {1, 2, 3, 4}) {
-    omp_set_num_threads(threads);
-    fn(threads);
-  }
-  omp_set_num_threads(saved);
-#else
-  fn(1);
-#endif
-}
-
 // The tasks for_each_spmv_task runs, as count-by-begin (0 where no task
 // begins).
-std::vector<index_t> task_counts(index_t units, index_t unit_rows) {
+std::vector<index_t> task_counts(ThreadPool& pool, index_t units,
+                                 index_t unit_rows) {
   std::vector<index_t> counts(static_cast<std::size_t>(units), 0);
-  for_each_spmv_task(units, unit_rows, [&](index_t begin, index_t count) {
-    counts[static_cast<std::size_t>(begin)] = count;
-  });
+  for_each_spmv_task(
+      units, unit_rows,
+      [&](index_t begin, index_t count) {
+        counts[static_cast<std::size_t>(begin)] = count;
+      },
+      pool);
   return counts;
 }
 
-index_t num_tasks(index_t units, index_t unit_rows = 1) {
-  const auto counts = task_counts(units, unit_rows);
+index_t num_tasks(ThreadPool& pool, index_t units, index_t unit_rows = 1) {
+  const auto counts = task_counts(pool, units, unit_rows);
   return static_cast<index_t>(
       std::count_if(counts.begin(), counts.end(),
                     [](index_t c) { return c > 0; }));
@@ -173,8 +158,8 @@ index_t num_tasks(index_t units, index_t unit_rows = 1) {
 // Every unit is covered exactly once, interior task edges fall on
 // kTaskAlignRows-row boundaries (when unit_rows divides it) and no task
 // but the last is under kMinTaskRows rows.
-void expect_valid_split(index_t units, index_t unit_rows) {
-  const auto counts = task_counts(units, unit_rows);
+void expect_valid_split(ThreadPool& pool, index_t units, index_t unit_rows) {
+  const auto counts = task_counts(pool, units, unit_rows);
   index_t covered = 0;
   for (index_t begin = 0; begin < units; ++begin) {
     const index_t count = counts[static_cast<std::size_t>(begin)];
@@ -193,36 +178,36 @@ void expect_valid_split(index_t units, index_t unit_rows) {
 }
 
 TEST(ParallelSpmvTasks, LargeMatrixGetsATaskPerThread) {
-  at_each_thread_count([](int threads) {
-    EXPECT_EQ(parallel_threads(), threads);
-    EXPECT_GE(num_tasks(40000), parallel_threads());
-    EXPECT_GE(num_tasks(40000 / 32, 32), parallel_threads());
+  at_each_thread_count([](ThreadPool& pool, int threads) {
+    EXPECT_EQ(parallel_threads(pool), threads);
+    EXPECT_GE(num_tasks(pool, 40000), threads);
+    EXPECT_GE(num_tasks(pool, 40000 / 32, 32), threads);
   });
 }
 
 TEST(ParallelSpmvTasks, BelowMinimumTaskSizeIsOneTask) {
-  at_each_thread_count([](int) {
-    EXPECT_EQ(num_tasks(1), 1);
-    EXPECT_EQ(num_tasks(kMinTaskRows), 1);
-    EXPECT_EQ(num_tasks(kMinTaskRows + 1), 2);
-    EXPECT_EQ(num_tasks(kMinTaskRows / 32, 32), 1);
-    EXPECT_EQ(num_tasks(kMinTaskRows / 32 + 1, 32), 2);
-    EXPECT_EQ(num_tasks(0), 0);
+  at_each_thread_count([](ThreadPool& pool, int) {
+    EXPECT_EQ(num_tasks(pool, 1), 1);
+    EXPECT_EQ(num_tasks(pool, kMinTaskRows), 1);
+    EXPECT_EQ(num_tasks(pool, kMinTaskRows + 1), 2);
+    EXPECT_EQ(num_tasks(pool, kMinTaskRows / 32, 32), 1);
+    EXPECT_EQ(num_tasks(pool, kMinTaskRows / 32 + 1, 32), 2);
+    EXPECT_EQ(num_tasks(pool, 0), 0);
   });
 }
 
 TEST(ParallelSpmvTasks, TasksCoverRowsOnceOnAlignedEdges) {
-  at_each_thread_count([](int) {
+  at_each_thread_count([](ThreadPool& pool, int) {
     for (index_t rows : {1, 511, 512, 513, 4095, 4097, 40001, 100000})
-      expect_valid_split(rows, 1);
+      expect_valid_split(pool, rows, 1);
   });
 }
 
 TEST(ParallelSpmvTasks, TasksCoverSlicesOnceOnAlignedEdges) {
-  at_each_thread_count([](int) {
+  at_each_thread_count([](ThreadPool& pool, int) {
     for (index_t c : {1, 3, 4, 32, 64, 128})
       for (index_t rows : {1, 511, 513, 4097, 40001})
-        expect_valid_split((rows + c - 1) / c, c);
+        expect_valid_split(pool, (rows + c - 1) / c, c);
   });
 }
 
@@ -252,10 +237,11 @@ TEST_P(ParallelSpmvSweep, BitwiseMatchesSerialAtEveryThreadCount) {
   const auto n = static_cast<std::size_t>(rows);
   std::vector<double> serial(n), parallel(n);
 
-  const auto expect_same = [&](const auto& a, const char* what, int threads) {
+  const auto expect_same = [&](const auto& a, const char* what,
+                               ThreadPool& pool, int threads) {
     a.spmv(x, serial);
     std::fill(parallel.begin(), parallel.end(), -7.0);
-    spmv_parallel(a, x, parallel);
+    spmv_parallel(a, x, parallel, pool);
     EXPECT_EQ(std::memcmp(serial.data(), parallel.data(), n * sizeof(double)),
               0)
         << what << " rows=" << rows << " threads=" << threads;
@@ -268,14 +254,15 @@ TEST_P(ParallelSpmvSweep, BitwiseMatchesSerialAtEveryThreadCount) {
   const auto merge1 = MergeCsr<double>::from_csr(m, 1);
   const auto merge3 = MergeCsr<double>::from_csr(m, 3);
   const auto merge256 = MergeCsr<double>::from_csr(m, 256);
-  at_each_thread_count([&](int threads) {
-    expect_same(ell, "ELL", threads);
-    expect_same(sell1, "SELL C=1", threads);
-    expect_same(sell32, "SELL C=32", threads);
-    expect_same(hyb, "HYB", threads);
-    expect_same(merge1, "merge-CSR parts=1", threads);
-    expect_same(merge3, "merge-CSR parts=3", threads);
-    expect_same(merge256, "merge-CSR parts=256", threads);
+  at_each_thread_count([&](ThreadPool& pool, int threads) {
+    expect_same(m, "CSR", pool, threads);
+    expect_same(ell, "ELL", pool, threads);
+    expect_same(sell1, "SELL C=1", pool, threads);
+    expect_same(sell32, "SELL C=32", pool, threads);
+    expect_same(hyb, "HYB", pool, threads);
+    expect_same(merge1, "merge-CSR parts=1", pool, threads);
+    expect_same(merge3, "merge-CSR parts=3", pool, threads);
+    expect_same(merge256, "merge-CSR parts=256", pool, threads);
   });
 }
 

@@ -44,14 +44,15 @@ std::vector<double> random_x(index_t n, std::uint64_t seed) {
 /// parallel variant (their segmented carries are sequential) and use the
 /// serial kernel.
 void spmv_parallel_any(const AnyMatrix<double>& m,
-                       const std::vector<double>& x, std::vector<double>& y) {
+                       const std::vector<double>& x, std::vector<double>& y,
+                       ThreadPool& pool = ThreadPool::current()) {
   switch (m.format()) {
-    case Format::kCsr: return spmv_parallel(m.get<Csr<double>>(), x, y);
-    case Format::kEll: return spmv_parallel(m.get<Ell<double>>(), x, y);
-    case Format::kHyb: return spmv_parallel(m.get<Hyb<double>>(), x, y);
+    case Format::kCsr: return spmv_parallel(m.get<Csr<double>>(), x, y, pool);
+    case Format::kEll: return spmv_parallel(m.get<Ell<double>>(), x, y, pool);
+    case Format::kHyb: return spmv_parallel(m.get<Hyb<double>>(), x, y, pool);
     case Format::kMergeCsr:
-      return spmv_parallel(m.get<MergeCsr<double>>(), x, y);
-    case Format::kSell: return spmv_parallel(m.get<Sell<double>>(), x, y);
+      return spmv_parallel(m.get<MergeCsr<double>>(), x, y, pool);
+    case Format::kSell: return spmv_parallel(m.get<Sell<double>>(), x, y, pool);
     case Format::kCoo:
     case Format::kCsr5: return m.spmv(x, y);
   }
@@ -62,13 +63,18 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// threads = 0 runs the parallel kernels on ThreadPool::current(), the
+/// process pool; threads > 0 on that many participating threads.
 using Param = std::tuple<MatrixFamily, double /*mu*/, double /*cv*/,
-                         std::uint64_t /*seed*/, index_t /*rows*/>;
+                         std::uint64_t /*seed*/, index_t /*rows*/,
+                         int /*threads*/>;
 
 class SpmvDifferential : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SpmvDifferential, SerialSimdParallelBitwiseIdentical) {
-  const auto [family, mu, cv, seed, rows] = GetParam();
+  const auto [family, mu, cv, seed, rows, threads] = GetParam();
+  ThreadPool own(threads - 1);
+  ThreadPool& pool = threads > 0 ? own : ThreadPool::current();
   GenSpec spec;
   spec.family = family;
   spec.rows = rows;
@@ -89,7 +95,7 @@ TEST_P(SpmvDifferential, SerialSimdParallelBitwiseIdentical) {
     m.spmv(x, y_scalar);
     simd::set_enabled(true);  // no-op when the build is scalar-only
     m.spmv(x, y_simd);
-    spmv_parallel_any(m, x, y_par);
+    spmv_parallel_any(m, x, y_par, pool);
     EXPECT_TRUE(bytes_equal(y_scalar, y_simd))
         << format_name(f) << ": SIMD y differs from scalar y, family "
         << family_name(family);
@@ -102,8 +108,9 @@ TEST_P(SpmvDifferential, SerialSimdParallelBitwiseIdentical) {
 TEST_P(SpmvDifferential, FromCsrToCsrRoundTrips) {
   // The round trip does not depend on how the parallel kernels split the
   // rows, so it keeps one small shape whatever the rows parameter.
-  const auto [family, mu, cv, seed, rows] = GetParam();
+  const auto [family, mu, cv, seed, rows, threads] = GetParam();
   (void)rows;
+  (void)threads;
   GenSpec spec;
   spec.family = family;
   spec.rows = 300;
@@ -129,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(4.0, 24.0),  // below and above the dot cutoff
         ::testing::Values(0.3, 1.2),
         ::testing::Values(7ULL, 1234ULL),
-        ::testing::Values(index_t{500})));
+        ::testing::Values(index_t{500}), ::testing::Values(0)));
 
 // 500 rows is below kMinTaskRows, so every parallel kernel above runs as
 // one task; these 2048-row matrices split into several.
@@ -139,7 +146,20 @@ INSTANTIATE_TEST_SUITE_P(
                                          MatrixFamily::kBanded),
                        ::testing::Values(16.0), ::testing::Values(0.3),
                        ::testing::Values(42ULL),
-                       ::testing::Values(index_t{2048})));
+                       ::testing::Values(index_t{2048}),
+                       ::testing::Values(0)));
+
+// Three participants split every parallel loop unevenly (the process pool
+// has as many as the machine has hardware threads).
+INSTANTIATE_TEST_SUITE_P(
+    ThreeThreads, SpmvDifferential,
+    ::testing::Combine(::testing::Values(MatrixFamily::kUniformRandom,
+                                         MatrixFamily::kBanded,
+                                         MatrixFamily::kPowerLaw),
+                       ::testing::Values(4.0, 24.0), ::testing::Values(1.2),
+                       ::testing::Values(42ULL),
+                       ::testing::Values(index_t{500}, index_t{2048}),
+                       ::testing::Values(3)));
 
 // --- SELL-C-sigma across the (C, sigma) tuning surface ---------------------
 // The generic suite above covers SELL at the default (32, 128); this one

@@ -4,11 +4,9 @@
 #   tools/check.sh            # configure + build + ctest (the tier-1 gate),
 #                             # then the serving dispatcher tests 30 times,
 #                             # the collector checkpoint tests 20 times,
-#                             # the parallel SpMV tests again at
-#                             # OMP_NUM_THREADS=3, and the benchmark's
-#                             # smoke runs (benchmark/run.sh all --smoke,
-#                             # whose output checks fail the pass) and
-#                             # self-test
+#                             # and the benchmark's smoke runs
+#                             # (benchmark/run.sh all --smoke, whose output
+#                             # checks fail the pass) and self-test
 #   tools/check.sh --asan     # same, in a separate build dir with
 #                             # -fsanitize=address,undefined
 #   tools/check.sh --tsan     # ThreadSanitizer over the concurrency tests
@@ -16,9 +14,8 @@
 #                             # checkpoints, logger +
 #                             # sharded metrics, concurrent arenas, the
 #                             # online-learning loop, the pooled Matrix
-#                             # Market parse); OpenMP
-#                             # is disabled there because libgomp's
-#                             # uninstrumented runtime trips false positives
+#                             # Market parse, the parallel SpMV kernels,
+#                             # the GEMMs and the MLP)
 #   tools/check.sh --simd-off # full suite with -DSPMVML_FORCE_SCALAR=ON:
 #                             # the SIMD tiers compiled out, every kernel on
 #                             # the scalar reference — the differential
@@ -61,10 +58,10 @@ if [[ "${1:-}" == "--asan" ]]; then
 elif [[ "${1:-}" == "--tsan" ]]; then
   echo "== thread sanitizer pass (concurrency tests) =="
   cmake -B build-tsan -S . -DSPMVML_SANITIZE=thread \
-    -DSPMVML_ENABLE_OPENMP=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelCollector|Checkpoint|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell|Mmio'
+    -R 'ThreadPool|ParallelCollector|Checkpoint|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell|Mmio|ParallelSpmv|Gemm|Mlp'
 elif [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke (asan; scripted fault bursts + robustness tests) =="
   cmake -B build-chaos -S . "-DSPMVML_SANITIZE=address;undefined" \
@@ -112,11 +109,6 @@ else
   echo "== collector checkpoint tests, repeated =="
   ctest --test-dir build --output-on-failure -j "$jobs" \
     -R 'LabelCollector|ParallelCollector|Checkpoint' --repeat until-fail:20
-  # The parallel SpMV kernels again at an odd thread count, which splits
-  # their tasks unevenly across threads (--tsan runs with OpenMP off).
-  echo "== parallel SpMV at OMP_NUM_THREADS=3 =="
-  OMP_NUM_THREADS=3 ctest --test-dir build --output-on-failure -j "$jobs" \
-    -R 'ParallelSpmv|ParallelMatchesSerial|MergeParallel|Differential'
   echo "== sidecar self-test (binary CSR round-trip, bitwise) =="
   ./build/tools/spmvml sidecar --self-test
   # Every workload once on the small inputs: a failed request, a wrong

@@ -109,20 +109,14 @@ namespace {
                "metrics snapshot, a\n"
                "                    {\"cmd\":\"learn\"} line the learning-"
                "loop state;\n"
-               "                    --learn (SPMVML_LEARN=1) retrains "
-               "models in the background\n"
-               "                    from measured traffic and hot-swaps "
-               "improvements in\n"
-               "                    (replay cap SPMVML_LEARN_REPLAY_CAP, "
-               "drift threshold\n"
-               "                    SPMVML_LEARN_DRIFT_RME, periodic "
-               "retrain SPMVML_LEARN_RETRAIN_EVERY_S);\n"
+               "                    --learn retrains models in the "
+               "background from measured\n"
+               "                    traffic and hot-swaps improvements in;\n"
                "                    --trace-sample N tags every Nth request "
                "with id'd trace\n"
-               "                    spans (SPMVML_TRACE_SAMPLE), "
-               "--stats-every-s rewrites the\n"
-               "                    --stats-file snapshot periodically "
-               "(SPMVML_STATS_EVERY_S);\n"
+               "                    spans, --stats-every-s rewrites the "
+               "--stats-file\n"
+               "                    snapshot periodically;\n"
                "                    SIGTERM drains (finish in-flight, then "
                "exit 0);\n"
                "                    SPMVML_CHAOS=<scenario> injects faults\n"
@@ -423,18 +417,12 @@ int cmd_serve(const Args& a) {
       static_cast<std::size_t>(numeric_opt(a, "queue-cap", 256.0, 1.0, 1e6));
   cfg.cache_capacity =
       static_cast<std::size_t>(numeric_opt(a, "cache-cap", 512.0, 0.0, 1e7));
-  // Ingest cache and dispatch shards: flag > env > default. The env
-  // knobs let deployment scripts tune serving without touching the
-  // command line (SPMVML_INGEST_CACHE_MB, SPMVML_SHARDS).
   cfg.ingest_cache_bytes =
-      static_cast<std::size_t>(numeric_opt(
-          a, "ingest-cache-mb",
-          static_cast<double>(env_int("SPMVML_INGEST_CACHE_MB", 256)), 0.0,
-          1e6))
+      static_cast<std::size_t>(
+          numeric_opt(a, "ingest-cache-mb", 256.0, 0.0, 1e6))
       << 20;
-  cfg.dispatch_shards = static_cast<int>(numeric_opt(
-      a, "shards", static_cast<double>(env_int("SPMVML_SHARDS", 1)), 1.0,
-      64.0));
+  cfg.dispatch_shards =
+      static_cast<int>(numeric_opt(a, "shards", 1.0, 1.0, 64.0));
   cfg.precision = precision_of(a);
   cfg.mem_budget_gb = numeric_opt(a, "mem-budget", 0.0, 0.0, 1e6);
   cfg.admission_target_ms =
@@ -443,37 +431,27 @@ int cmd_serve(const Args& a) {
   cfg.max_retries =
       static_cast<int>(numeric_opt(a, "max-retries", 2.0, 0.0, 100.0));
 
-  // Online learning loop (DESIGN.md §5k): flag > env > default, like
-  // every other serving knob. --learn (SPMVML_LEARN=1) turns on shadow
-  // probes + replay + drift-triggered background retraining; the other
-  // knobs tune it. Off by default: serving is then byte-identical to a
-  // build without the subsystem.
-  cfg.learn.enabled =
-      a.options.count("learn") != 0 || env_int("SPMVML_LEARN", 0) != 0;
-  cfg.learn.replay_capacity = static_cast<std::size_t>(numeric_opt(
-      a, "replay-cap",
-      static_cast<double>(env_int("SPMVML_LEARN_REPLAY_CAP", 4096)), 1.0,
-      1e7));
-  cfg.learn.drift.rme_threshold = numeric_opt(
-      a, "drift-rme", env_double("SPMVML_LEARN_DRIFT_RME", 0.5), 0.0, 1e6);
-  cfg.learn.retrain_every_s = numeric_opt(
-      a, "retrain-every-s", env_double("SPMVML_LEARN_RETRAIN_EVERY_S", 0.0),
-      0.0, 1e9);
+  // Online learning loop (DESIGN.md §5k): --learn turns on shadow probes
+  // + replay + drift-triggered background retraining; the other knobs
+  // tune it. Off by default: serving is then byte-identical to a build
+  // without the subsystem.
+  cfg.learn.enabled = a.options.count("learn") != 0;
+  cfg.learn.replay_capacity = static_cast<std::size_t>(
+      numeric_opt(a, "replay-cap", 4096.0, 1.0, 1e7));
+  cfg.learn.drift.rme_threshold = numeric_opt(a, "drift-rme", 0.5, 0.0, 1e6);
+  cfg.learn.retrain_every_s =
+      numeric_opt(a, "retrain-every-s", 0.0, 0.0, 1e9);
   cfg.learn.seed = root_seed();
 
-  // Per-request trace sampling: flag > SPMVML_TRACE_SAMPLE > off. The
-  // sentinel -1 means "flag absent", so an explicit --trace-sample 0
-  // still turns env-configured sampling off.
-  const int trace_sample =
-      static_cast<int>(numeric_opt(a, "trace-sample", -1.0, -1.0, 1e9));
-  if (trace_sample >= 0) serve::set_trace_sample(trace_sample);
+  // Per-request trace sampling: every Nth request, 0 = off.
+  serve::set_trace_sample(
+      static_cast<int>(numeric_opt(a, "trace-sample", 0.0, 0.0, 1e9)));
 
-  // Live stats plane: --stats-every-s (or SPMVML_STATS_EVERY_S) starts a
-  // background writer that atomically rewrites --stats-file with a fresh
-  // metrics snapshot, so a scraper can follow a long-lived server
-  // without restarts or admin lines.
-  const double stats_every_s = numeric_opt(
-      a, "stats-every-s", env_double("SPMVML_STATS_EVERY_S", 0.0), 0.0, 1e6);
+  // Live stats plane: --stats-every-s starts a background writer that
+  // atomically rewrites --stats-file with a fresh metrics snapshot, so a
+  // scraper can follow a long-lived server without restarts or admin
+  // lines.
+  const double stats_every_s = numeric_opt(a, "stats-every-s", 0.0, 0.0, 1e6);
   std::unique_ptr<obs::PeriodicReporter> stats_writer;
   if (stats_every_s > 0.0) {
     obs::ReportMeta stats_meta;
