@@ -5,8 +5,8 @@
 //                          smoke runs (default 0)
 //   SPMVML_SEED          — root seed for all experiments (default 2018,
 //                          the paper's publication year)
-//   SPMVML_THREADS       — worker threads for parallel collection and the
-//                          pipeline bench (default 1 = serial)
+//   SPMVML_THREADS       — worker threads for parallel label collection
+//                          (default 1 = serial)
 //
 // Observability knobs (read by common/obs/, not via the helpers here):
 //

@@ -91,8 +91,7 @@ std::array<Measurement, kNumFormats> MeasurementOracle::measure_all(
   return out;
 }
 
-HostOracle::HostOracle(int reps, const ConvertParams& params)
-    : reps_(reps), arena_(params) {
+HostOracle::HostOracle(int reps) : reps_(reps) {
   SPMVML_ENSURE(reps_ >= 1, "need at least one repetition");
 }
 

@@ -82,9 +82,8 @@ class MeasurementOracle {
 class HostOracle {
  public:
   /// reps = timed kernel launches averaged per measurement (one untimed
-  /// warm-up run precedes them). `params` tunes the conversions (SELL's
-  /// (C, sigma)); the default matches the simulated oracle's digest.
-  explicit HostOracle(int reps = 5, const ConvertParams& params = {});
+  /// warm-up run precedes them).
+  explicit HostOracle(int reps = 5);
 
   Measurement measure(const Csr<double>& csr, Format f);
 

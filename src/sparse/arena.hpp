@@ -23,22 +23,14 @@ namespace spmvml {
 template <typename ValueT>
 class ConversionArena {
  public:
-  ConversionArena() = default;
-  explicit ConversionArena(const ConvertParams& params) : params_(params) {}
-
   /// Convert `csr` into `format`, reusing the slot's previous buffers.
   /// The reference stays valid until the next convert() for the same
   /// format (other formats' slots are untouched).
   const AnyMatrix<ValueT>& convert(Format format, const Csr<ValueT>& csr) {
     AnyMatrix<ValueT>& slot = slots_[static_cast<std::size_t>(format)];
-    slot.rebuild(format, csr, &scratch_, params_);
+    slot.rebuild(format, csr, &scratch_);
     return slot;
   }
-
-  /// Tunable conversion parameters (SELL's (C, sigma)); applies to
-  /// subsequent convert() calls.
-  void set_convert_params(const ConvertParams& params) { params_ = params; }
-  const ConvertParams& convert_params() const { return params_; }
 
   /// Drop all cached capacity (slots revert to empty COO).
   void clear() {
@@ -49,7 +41,6 @@ class ConversionArena {
  private:
   std::array<AnyMatrix<ValueT>, kNumFormats> slots_;
   ConversionScratch scratch_;
-  ConvertParams params_;
 };
 
 }  // namespace spmvml

@@ -1,6 +1,7 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -187,5 +188,13 @@ Csr<ValueT> Csr<ValueT>::transpose() const {
 
 template class Csr<float>;
 template class Csr<double>;
+
+index_t bandwidth(const Csr<double>& m) {
+  index_t bw = 0;
+  for (index_t r = 0; r < m.rows(); ++r)
+    for (index_t p = m.row_ptr()[r]; p < m.row_ptr()[r + 1]; ++p)
+      bw = std::max(bw, std::abs(m.col_idx()[p] - r));
+  return bw;
+}
 
 }  // namespace spmvml

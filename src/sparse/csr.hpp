@@ -115,4 +115,7 @@ class Csr {
 extern template class Csr<float>;
 extern template class Csr<double>;
 
+/// Matrix bandwidth: max |col - row| over stored entries (0 if empty).
+index_t bandwidth(const Csr<double>& m);
+
 }  // namespace spmvml

@@ -21,17 +21,6 @@
 
 namespace spmvml {
 
-/// Tunable conversion parameters threaded from the arena/oracle down to
-/// the format constructors. Today this is SELL's (C, sigma) pair; the
-/// defaults match the cost model's assumptions (ML-predicted tuning is
-/// a follow-up, see ROADMAP).
-struct ConvertParams {
-  index_t sell_c = 32;
-  index_t sell_sigma = 128;
-
-  bool operator==(const ConvertParams&) const = default;
-};
-
 /// Sum-type over the seven storage formats.
 template <typename ValueT>
 class AnyMatrix {
@@ -49,10 +38,10 @@ class AnyMatrix {
   /// already holds the target alternative its buffers are reused (the
   /// ConversionArena warm path allocates nothing); otherwise the
   /// alternative is emplaced fresh. `scratch`, if given, supplies the
-  /// CSR5 conversion workspace; `params` carries the SELL (C, sigma).
+  /// CSR5 conversion workspace. SELL converts with Sell's default
+  /// (C, sigma), the pair the cost model assumes.
   void rebuild(Format format, const Csr<ValueT>& csr,
-               ConversionScratch* scratch = nullptr,
-               const ConvertParams& params = {}) {
+               ConversionScratch* scratch = nullptr) {
     format_ = format;
     switch (format) {
       case Format::kCoo: ensure<Coo<ValueT>>().assign_from_csr(csr); break;
@@ -66,8 +55,7 @@ class AnyMatrix {
         ensure<MergeCsr<ValueT>>().assign_from_csr(csr);
         break;
       case Format::kSell:
-        ensure<Sell<ValueT>>().assign_from_csr(csr, params.sell_c,
-                                               params.sell_sigma);
+        ensure<Sell<ValueT>>().assign_from_csr(csr);
         break;
     }
   }

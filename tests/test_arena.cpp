@@ -185,33 +185,6 @@ TEST(Arena, OneArenaPerThreadIsRaceFree) {
   for (int t = 0; t < 4; ++t) EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0);
 }
 
-TEST(Arena, SellConvertParamsReachTheSlot) {
-  // The (C, sigma) knobs handed to the arena must be the ones the SELL
-  // slot converts with — and warm rebuilds under custom params must stay
-  // allocation-free like every other slot.
-  const auto csr = test_matrix(220, 10.0, 91);
-  ConvertParams params;
-  params.sell_c = 8;
-  params.sell_sigma = 24;
-  ConversionArena<double> arena(params);
-  EXPECT_EQ(arena.convert_params(), params);
-
-  const AnyMatrix<double>& any = arena.convert(Format::kSell, csr);
-  const auto& sell = any.get<Sell<double>>();
-  EXPECT_EQ(sell.slice_height(), 8);
-  EXPECT_EQ(sell.sort_window(), 24);
-  EXPECT_EQ(sell, Sell<double>::from_csr(csr, 8, 24));
-
-  // Different tuning than the defaults actually changes the layout.
-  const auto def = Sell<double>::from_csr(csr);
-  EXPECT_NE(sell.slice_height(), def.slice_height());
-
-  arena.convert(Format::kSell, csr);  // settle growth
-  const std::size_t n =
-      allocs_during([&] { arena.convert(Format::kSell, csr); });
-  EXPECT_EQ(n, 0u) << "warm SELL convert with custom params allocated";
-}
-
 TEST(Arena, SpmvOnWarmSlotMatchesFresh) {
   // End-to-end: the y computed from an arena-built matrix is bitwise the
   // y from a fresh build (the serving materialize path depends on this).

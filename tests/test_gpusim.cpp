@@ -309,5 +309,26 @@ TEST(Oracle, RejectsBadConfig) {
                Error);
 }
 
+TEST(HostOracle, MeasuresEveryFormat) {
+  GenSpec spec;
+  spec.family = MatrixFamily::kUniformRandom;
+  spec.rows = 500;
+  spec.cols = 500;
+  spec.row_mu = 8;
+  spec.seed = 14;
+  const auto csr = generate(spec);
+  HostOracle oracle(2);
+  const auto all = oracle.measure_all(csr);
+  for (Format f : kAllFormats) {
+    const Measurement& m = all[static_cast<std::size_t>(f)];
+    EXPECT_TRUE(std::isfinite(m.seconds)) << format_name(f);
+    EXPECT_GT(m.seconds, 0.0) << format_name(f);
+    EXPECT_DOUBLE_EQ(m.gflops,
+                     2.0 * static_cast<double>(csr.nnz()) / m.seconds / 1e9)
+        << format_name(f);
+  }
+  EXPECT_THROW(HostOracle(0), Error);
+}
+
 }  // namespace
 }  // namespace spmvml

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, plus optional sanitizer passes.
 #
-#   tools/check.sh            # configure + build + ctest (the tier-1 gate),
+#   tools/check.sh            # fail on a .cpp missing from its CMakeLists.txt,
+#                             # then configure + build + ctest (the tier-1 gate),
 #                             # then the serving dispatcher tests 30 times,
 #                             # the collector checkpoint tests 20 times,
 #                             # and the benchmark's smoke runs
@@ -97,6 +98,23 @@ else
       exit 1
     fi
   done
+  # A source file missing from its CMakeLists.txt silently stops compiling
+  # and rots: every src/**/*.cpp, tests/*.cpp and bench/*.cpp must be
+  # listed (bench lists its studies by name, without the .cpp).
+  unbuilt=0
+  for dir in src tests bench; do
+    depth=(-maxdepth 1)
+    [[ $dir == src ]] && depth=()
+    listed=$(grep -oE '[A-Za-z0-9_./-]+' "$dir/CMakeLists.txt")
+    while IFS= read -r file; do
+      rel=${file#"$dir"/}
+      if ! grep -qxF -e "$rel" -e "${rel%.cpp}" <<<"$listed"; then
+        echo "error: $file is not listed in $dir/CMakeLists.txt" >&2
+        unbuilt=1
+      fi
+    done < <(find "$dir" "${depth[@]}" -name '*.cpp' | sort)
+  done
+  (( unbuilt == 0 )) || exit 1
   run_suite build
   # A single run hides dispatcher races: repeat the tests that pin batch
   # composition, admission behind a busy worker, drain and sharding.

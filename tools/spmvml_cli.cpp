@@ -59,7 +59,6 @@
 #include "serve/service.hpp"
 #include "sparse/csr_binary.hpp"
 #include "sparse/mmio.hpp"
-#include "sparse/reorder.hpp"
 #include "synth/generators.hpp"
 
 using namespace spmvml;
