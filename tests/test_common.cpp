@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -197,6 +202,51 @@ TEST(TablePrinter, RejectsRaggedRows) {
   EXPECT_THROW(t.add_row({"only-one"}), Error);
 }
 
+TEST(HashBytes, AnySingleByteChangeChangesTheHash) {
+  // Lengths cover the empty input, partial words, whole words and more
+  // than one 32-byte round of the four lanes.
+  for (std::size_t n = 1; n <= 80; ++n) {
+    std::vector<unsigned char> bytes(n);
+    for (std::size_t i = 0; i < n; ++i)
+      bytes[i] = static_cast<unsigned char>(37 * i + 11);
+    const std::uint64_t base = hash_bytes(bytes.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const unsigned char flip : {0x01, 0x80}) {
+        bytes[i] ^= flip;
+        EXPECT_NE(hash_bytes(bytes.data(), n), base)
+            << "length " << n << ", byte " << i;
+        bytes[i] ^= flip;
+      }
+    }
+    EXPECT_EQ(hash_bytes(bytes.data(), n), base) << "length " << n;
+  }
+}
+
+TEST(HashBytes, LengthSeedsTheLanesSoZeroPaddingIsNotAmbiguous) {
+  // A partial last word is zero-padded, so without the length seed
+  // "ab" and "ab\0" would hash alike.
+  const unsigned char bytes[40] = {'a', 'b'};
+  std::vector<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= sizeof bytes; ++n) {
+    const std::uint64_t h = hash_bytes(bytes, n);
+    for (const std::uint64_t prev : seen) EXPECT_NE(h, prev) << "length " << n;
+    seen.push_back(h);
+  }
+}
+
+TEST(HashBytes, ChainsThroughTheSeedInOrder) {
+  const std::string a = "row_ptr bytes", b = "col_idx bytes";
+  const std::uint64_t ab = hash_bytes(b.data(), b.size(),
+                                      hash_bytes(a.data(), a.size()));
+  const std::uint64_t ba = hash_bytes(a.data(), a.size(),
+                                      hash_bytes(b.data(), b.size()));
+  EXPECT_NE(ab, ba);
+  EXPECT_EQ(ab, hash_bytes(b.data(), b.size(),
+                           hash_bytes(a.data(), a.size())));
+  EXPECT_NE(hash_bytes(a.data(), a.size(), 1),
+            hash_bytes(a.data(), a.size(), 2));
+}
+
 TEST(TablePrinter, FormatHelpers) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::pct(0.875, 1), "87.5%");
@@ -225,6 +275,54 @@ TEST(Env, CorpusScaleClamped) {
   EXPECT_DOUBLE_EQ(corpus_scale(), 0.01);
   unsetenv("SPMVML_CORPUS_SCALE");
   EXPECT_DOUBLE_EQ(corpus_scale(), 1.0);
+}
+
+/// Sets an environment variable for one scope and puts back the value
+/// it had before.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) setenv(name_, old_->c_str(), 1);
+    else unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Env, FastModeAndRootSeedFollowTheEnvironment) {
+  {
+    ScopedEnv fast("SPMVML_FAST", "1");
+    ScopedEnv seed("SPMVML_SEED", "77");
+    EXPECT_TRUE(fast_mode());
+    EXPECT_EQ(root_seed(), 77u);
+  }
+  {
+    ScopedEnv fast("SPMVML_FAST", "0");
+    ScopedEnv seed("SPMVML_SEED", "");  // empty falls back to the default
+    EXPECT_FALSE(fast_mode());
+    EXPECT_EQ(root_seed(), 2018u);
+  }
+}
+
+TEST(Env, ThreadCountClampedToOneThrough256) {
+  {
+    ScopedEnv threads("SPMVML_THREADS", "0");
+    EXPECT_EQ(thread_count(), 1);
+  }
+  {
+    ScopedEnv threads("SPMVML_THREADS", "100000");
+    EXPECT_EQ(thread_count(), 256);
+  }
+  {
+    ScopedEnv threads("SPMVML_THREADS", "3");
+    EXPECT_EQ(thread_count(), 3);
+  }
 }
 
 TEST(Parallel, ParallelForCoversAllIndices) {

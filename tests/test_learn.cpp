@@ -554,6 +554,63 @@ TEST(LearnTrainer, DisabledTrainerIsInert) {
   EXPECT_EQ(registry.version(), 1u);
 }
 
+/// Poke the trainer until `done(stats)` or about five seconds pass.
+template <typename Done>
+OnlineTrainer::Stats poke_until(OnlineTrainer& trainer, Done done) {
+  OnlineTrainer::Stats stats;
+  for (int spin = 0; spin < 1000; ++spin) {
+    trainer.poke();
+    stats = trainer.stats();
+    if (done(stats)) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return stats;
+}
+
+TEST(LearnTrainer, RetrainWithoutLiveBundleAborts) {
+  Scorecard sc(1024);
+  ModelRegistry registry;  // nothing installed
+  ThreadPool pool(2);
+  auto cfg = quick_trainer_config();
+  cfg.retrain_every_s = 0.02;
+  OnlineTrainer trainer(cfg, sc, registry, pool);
+  for (int i = 0; i < 30; ++i) feed_sample(sc, i, 10.0, 1.0, 10.0);
+
+  poke_until(trainer, [](const auto& s) { return s.aborted >= 1; });
+  trainer.stop();
+  const auto stats = trainer.stats();
+  EXPECT_GE(stats.retrains, 1u);
+  EXPECT_GE(stats.aborted, 1u) << "a retrain with no live bundle ran on";
+  EXPECT_EQ(stats.swaps, 0u);
+  EXPECT_EQ(registry.current(), nullptr);
+}
+
+TEST(LearnTrainer, SingleFormatTrafficAbortsRetrain) {
+  // Scored entries without shadow probes measure one format per matrix:
+  // no sample says which format won, so no candidate may be trained.
+  Scorecard sc(1024);
+  ModelRegistry registry;
+  registry.install(fab_selector(Format::kCsr), fab_perf(10.0, 1.0));
+  const std::uint64_t live_version = registry.version();
+  ThreadPool pool(2);
+  auto cfg = quick_trainer_config();
+  cfg.drift.rme_threshold = 1e9;  // drift can never fire
+  cfg.retrain_every_s = 0.02;     // periodic retrain does
+  OnlineTrainer trainer(cfg, sc, registry, pool);
+  for (int i = 0; i < 30; ++i)
+    sc.record(fab_entry(i, Format::kCsr, 10.0, /*predicted_gflops=*/10.0));
+
+  poke_until(trainer, [](const auto& s) {
+    return s.aborted + s.discards + s.swaps >= 1;
+  });
+  trainer.stop();
+  const auto stats = trainer.stats();
+  EXPECT_GE(stats.aborted, 1u);
+  EXPECT_EQ(stats.discards, 0u);
+  EXPECT_EQ(stats.swaps, 0u);
+  EXPECT_EQ(registry.version(), live_version);
+}
+
 // --- Learn-off/-on response contract -------------------------------------
 
 std::string canonical_json(serve::Response r) {

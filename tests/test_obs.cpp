@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -352,6 +353,57 @@ TEST(ObsLog, StructuredFieldsAndQuoting) {
   EXPECT_NE(capture.text.find("num=1.5"), std::string::npos);
   EXPECT_NE(capture.text.find("neg=-3"), std::string::npos);
   EXPECT_NE(capture.text.find("flag=false"), std::string::npos);
+}
+
+TEST(ObsLog, ParsesLevelNames) {
+  EXPECT_EQ(obs::parse_log_level("debug"), obs::LogLevel::kDebug);
+  EXPECT_EQ(obs::parse_log_level("info"), obs::LogLevel::kInfo);
+  EXPECT_EQ(obs::parse_log_level("warn"), obs::LogLevel::kWarn);
+  EXPECT_EQ(obs::parse_log_level("warning"), obs::LogLevel::kWarn);
+  EXPECT_EQ(obs::parse_log_level("error"), obs::LogLevel::kError);
+  // Anything else, including other spellings, means off.
+  for (const char* name : {"off", "", "INFO", "verbose", "warn "})
+    EXPECT_EQ(obs::parse_log_level(name), obs::LogLevel::kOff) << name;
+}
+
+TEST(ObsLog, EscapesQuotedValuesAndSpellsOutNonFinite) {
+  ScopedLogCapture capture(obs::LogLevel::kInfo);
+  obs::log_info("escapes")
+      .kv("quoted", "say \"hi\"\nbye")
+      .kv("slash", "a\\b c")
+      .kv("empty", "")
+      .kv("pinf", std::numeric_limits<double>::infinity())
+      .kv("ninf", -std::numeric_limits<double>::infinity())
+      .kv("nan", std::numeric_limits<double>::quiet_NaN());
+  // One physical line: the embedded newline is written as \n.
+  ASSERT_EQ(std::count(capture.text.begin(), capture.text.end(), '\n'), 1)
+      << capture.text;
+  EXPECT_NE(capture.text.find(R"(quoted="say \"hi\"\nbye")"),
+            std::string::npos)
+      << capture.text;
+  EXPECT_NE(capture.text.find(R"(slash="a\\b c")"), std::string::npos);
+  EXPECT_NE(capture.text.find(R"(empty="")"), std::string::npos);
+  EXPECT_NE(capture.text.find(" pinf=inf"), std::string::npos);
+  EXPECT_NE(capture.text.find(" ninf=-inf"), std::string::npos);
+  EXPECT_NE(capture.text.find(" nan=nan"), std::string::npos);
+}
+
+TEST(ObsLog, MovedLineEmitsOnce) {
+  ScopedLogCapture capture(obs::LogLevel::kInfo);
+  {
+    obs::LogLine first = obs::log_info("moved");
+    first.kv("before", 1);
+    obs::LogLine second(std::move(first));
+    second.kv("after", 2);
+  }
+  std::size_t lines = 0;
+  for (std::size_t at = capture.text.find("event=moved");
+       at != std::string::npos; at = capture.text.find("event=moved", at + 1))
+    ++lines;
+  EXPECT_EQ(lines, 1u) << capture.text;
+  EXPECT_NE(capture.text.find("event=moved before=1 after=2"),
+            std::string::npos)
+      << capture.text;
 }
 
 TEST(ObsConcurrency, LogLinesNeverInterleave) {
@@ -911,6 +963,79 @@ TEST(ObsProm, ReadReportMetricsAcceptsBareMetricsObjectAndRejectsGarbage) {
   EXPECT_THROW(obs::read_report_metrics(garbage), Error);
   std::istringstream truncated(R"({"counters":{"c":)");
   EXPECT_THROW(obs::read_report_metrics(truncated), Error);
+}
+
+TEST(ObsProm, ReportRoundTripKeepsMetricNamesThatNeedEscaping) {
+  // The writer escapes quotes, backslashes and control bytes in keys
+  // (a 4-hex-digit escape for the rare ones); the reader must decode
+  // each back to the same byte.
+  const std::string odd = "odd\"name\\with\nnewline\ttab\x01" "ctl";
+  obs::MetricsRegistry reg;
+  reg.counter(odd).add(5);
+  reg.gauge("plain.gauge").set(1.25);
+  obs::ReportMeta meta;
+  meta.tool = "tool \"quoted\"\r\b\f";
+  meta.command = "spmvml serve --path C:\\x";
+  std::ostringstream report;
+  obs::write_report_json(report, meta, reg.snapshot());
+  std::istringstream in(report.str());
+  const auto reread = obs::read_report_metrics(in);
+  EXPECT_EQ(reread.counter(odd), 5u) << report.str();
+  EXPECT_DOUBLE_EQ(reread.gauge("plain.gauge"), 1.25);
+}
+
+TEST(ObsProm, ReportReaderDecodesEveryEscapeAndLiteral) {
+  // Hand-written report: unknown fields of every JSON kind are skipped,
+  // and 4-hex-digit escapes decode in either hex case.
+  std::istringstream in(R"({
+    "run": {"tool": "a\/b\u0041\u004a", "ok": true, "dry": false,
+            "note": null, "args": [1, "x", [], {}]},
+    "metrics": {"counters": {"\u0063\u004F\u0075nt": 9}, "gauges": {},
+                "histograms": {}}
+  })");
+  const auto snap = obs::read_report_metrics(in);
+  EXPECT_EQ(snap.counter("cOunt"), 9u);
+}
+
+TEST(ObsProm, ReportReaderRejectsBadEscapes) {
+  const char* bad[] = {
+      "{\"counters\": {\"a\\qb\": 1}}",     // unknown escape
+      "{\"counters\": {\"a\\u00zz\": 1}}",  // non-hex digits after u
+      "{\"counters\": {\"a\\u00",            // truncated 4-digit escape
+      "{\"counters\": {\"a\\",               // dangling backslash
+  };
+  for (const char* text : bad) {
+    std::istringstream in(text);
+    try {
+      obs::read_report_metrics(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kParse) << text;
+    }
+  }
+}
+
+TEST(ObsProm, ReportReaderSortsHistogramsForLookup) {
+  // Lookups binary-search by name, so the reader must sort whatever
+  // order the file lists the histograms in.
+  std::istringstream in(R"({"histograms": {
+    "zeta": {"bounds": [1], "buckets": [1, 0], "count": 1, "sum": 0.5,
+             "mean": 0.5, "stddev": 0, "min": 0.5, "max": 0.5},
+    "alpha": {"bounds": [1], "buckets": [0, 2], "count": 2, "sum": 6,
+              "mean": 3, "stddev": 1, "min": 2, "max": 4},
+    "mid": {"bounds": [], "buckets": [3], "count": 3, "sum": 3,
+            "mean": 1, "stddev": 0, "min": 1, "max": 1}
+  }})");
+  const auto snap = obs::read_report_metrics(in);
+  ASSERT_EQ(snap.histograms.size(), 3u);
+  EXPECT_EQ(snap.histograms[0].name, "alpha");
+  EXPECT_EQ(snap.histograms[1].name, "mid");
+  EXPECT_EQ(snap.histograms[2].name, "zeta");
+  for (const char* name : {"alpha", "mid", "zeta"})
+    ASSERT_NE(snap.histogram(name), nullptr) << name;
+  EXPECT_EQ(snap.histogram("alpha")->stats.count(), 2);
+  EXPECT_DOUBLE_EQ(snap.histogram("zeta")->stats.max(), 0.5);
+  EXPECT_EQ(snap.histogram("mid")->buckets, std::vector<std::uint64_t>{3});
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/indirect.hpp"
@@ -83,6 +85,82 @@ TEST(IndirectSelector, SelectsModeledFormat) {
   const Format f = sel.select(shared_corpus().records[0].features);
   EXPECT_NE(std::find(kAllFormats.begin(), kAllFormats.end(), f),
             kAllFormats.end());
+}
+
+TEST(IndirectSelector, InfeasiblePickFallsToNextBestPredicted) {
+  PerfModel model(RegressorKind::kDecisionTree, FeatureSet::kSet123,
+                  kAllFormats, true);
+  model.fit(shared_corpus(), 0, Precision::kDouble);
+  IndirectSelector sel(std::move(model));
+  for (const auto& rec : shared_corpus().records) {
+    const Format unconstrained = sel.select(rec.features);
+    const Selection open =
+        sel.select_feasible(rec.features, [](Format) { return true; });
+    EXPECT_EQ(open.format, unconstrained);
+    EXPECT_EQ(open.predicted, unconstrained);
+    EXPECT_FALSE(open.fallback);
+
+    // Forbid the model's pick: the next-fastest predicted format wins.
+    const Selection s = sel.select_feasible(
+        rec.features, [&](Format f) { return f != unconstrained; });
+    EXPECT_EQ(s.predicted, unconstrained);
+    EXPECT_NE(s.format, unconstrained);
+    EXPECT_TRUE(s.fallback);
+    const auto predicted = sel.model().predict_all(rec.features);
+    const auto formats = sel.model().formats();
+    const auto at = std::find(formats.begin(), formats.end(), s.format);
+    ASSERT_NE(at, formats.end());
+    const double chosen =
+        predicted[static_cast<std::size_t>(at - formats.begin())];
+    for (std::size_t i = 0; i < formats.size(); ++i) {
+      if (formats[i] == unconstrained) continue;
+      EXPECT_LE(chosen, predicted[i]);
+    }
+  }
+}
+
+TEST(IndirectSelector, NothingFeasibleFallsBackToCsrOrThrows) {
+  const auto& features = shared_corpus().records[0].features;
+  const auto none = [](Format) { return false; };
+  PerfModel with_csr(RegressorKind::kDecisionTree, FeatureSet::kSet1,
+                     kAllFormats, true);
+  with_csr.fit(shared_corpus(), 0, Precision::kDouble);
+  const IndirectSelector sel(std::move(with_csr));
+  const Selection s = sel.select_feasible(features, none);
+  EXPECT_EQ(s.format, Format::kCsr);
+  EXPECT_EQ(s.predicted, sel.select(features));
+  EXPECT_TRUE(s.fallback);
+  EXPECT_THROW(sel.select_feasible(features, FeasibilityFn{}), Error);
+
+  // Without CSR among the modeled formats there is no floor to fall to.
+  const std::vector<Format> no_csr = {Format::kEll, Format::kHyb};
+  PerfModel without_csr(RegressorKind::kDecisionTree, FeatureSet::kSet1,
+                        no_csr, true);
+  without_csr.fit(shared_corpus(), 0, Precision::kDouble);
+  const IndirectSelector bare(std::move(without_csr));
+  try {
+    bare.select_feasible(features, none);
+    ADD_FAILURE() << "expected Error(kInfeasibleFormat)";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kInfeasibleFormat);
+  }
+}
+
+TEST(PerfModel, MlpRegressorsPredictFiniteSeconds) {
+  // The paper's MLP and MLP-ensemble regressors (§VI), in fast mode.
+  EXPECT_STRNE(regressor_name(RegressorKind::kMlp),
+               regressor_name(RegressorKind::kMlpEnsemble));
+  for (const RegressorKind kind :
+       {RegressorKind::kMlp, RegressorKind::kMlpEnsemble}) {
+    PerfModel model(kind, FeatureSet::kSet12, kBasicFormats, true);
+    model.fit(shared_corpus(), 0, Precision::kDouble);
+    for (const auto& rec : shared_corpus().records) {
+      for (const double t : model.predict_all(rec.features)) {
+        EXPECT_TRUE(std::isfinite(t)) << regressor_name(kind);
+        EXPECT_GT(t, 0.0) << regressor_name(kind);
+      }
+    }
+  }
 }
 
 TEST(ToleranceAccuracy, ExactAndTolerantScoring) {

@@ -154,6 +154,42 @@ TEST(Serialize, MlpEnsembleRegressorRoundTrip) {
     EXPECT_DOUBLE_EQ(model.predict(row), restored.predict(row));
 }
 
+TEST(Serialize, MlpEnsembleClassifierRoundTrip) {
+  ml::Matrix x;
+  std::vector<int> labels;
+  std::vector<double> targets;
+  make_data(x, labels, targets);
+  ml::MlpParams p;
+  p.hidden = {8};
+  p.epochs = 5;
+  ml::MlpEnsembleClassifier model(p, 3);
+  model.fit(x, labels);
+  std::stringstream s;
+  model.save(s);
+  // The member count comes from the stream, not the constructor.
+  ml::MlpEnsembleClassifier restored(p, 1);
+  restored.load(s);
+  expect_same_classifier(model, restored, x);
+}
+
+TEST(Serialize, MlpPerfModelRoundTrip) {
+  const auto corpus = collect_corpus(make_small_plan(30, 77));
+  for (const RegressorKind kind :
+       {RegressorKind::kMlp, RegressorKind::kMlpEnsemble}) {
+    PerfModel model(kind, FeatureSet::kSet12, kBasicFormats, /*fast=*/true);
+    model.fit(corpus, 1, Precision::kSingle);
+    std::stringstream s;
+    model.save(s);
+    const PerfModel restored = PerfModel::load_model(s);
+    ASSERT_EQ(restored.formats().size(), kBasicFormats.size());
+    for (const auto& rec : corpus.records)
+      for (Format f : kBasicFormats)
+        EXPECT_DOUBLE_EQ(model.predict_seconds(rec.features, f),
+                         restored.predict_seconds(rec.features, f))
+            << regressor_name(kind);
+  }
+}
+
 TEST(Serialize, FormatSelectorRoundTrip) {
   const auto corpus = collect_corpus(make_small_plan(40, 99));
   FormatSelector selector(ModelKind::kXgboost, FeatureSet::kSet12,

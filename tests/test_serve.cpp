@@ -347,6 +347,78 @@ TEST(ServeRequest, RejectsMalformedLines) {
   }
 }
 
+TEST(ServeRequest, DecodesStringEscapes) {
+  const auto p = serve::parse_request_line(
+      R"({"id": "q\"1\\", "matrix": "dir\/a\tb\nc\rd\be\f.mtx"})");
+  EXPECT_EQ(p.request.id, "q\"1\\");
+  EXPECT_EQ(p.request.matrix_path, "dir/a\tb\nc\rd\be\f.mtx");
+  // A 4-hex-digit escape becomes one '?' (paths and ids stay ASCII).
+  const auto u = serve::parse_request_line(
+      "{\"matrix\": \"caf\\u00e9.mtx\"}");
+  EXPECT_EQ(u.request.matrix_path, "caf?.mtx");
+}
+
+TEST(ServeRequest, NumericIdsAndBooleanFields) {
+  const auto p = serve::parse_request_line(
+      R"({"id": 7, "matrix": "a.mtx", "materialize": false})");
+  EXPECT_EQ(p.request.id, "7");
+  EXPECT_FALSE(p.request.materialize);
+  const auto m = serve::parse_request_line(
+      R"({"id": 2.5, "matrix": "a.mtx", "materialize": true})");
+  EXPECT_EQ(m.request.id, "2.5");
+  EXPECT_TRUE(m.request.materialize);
+  const auto admin = serve::parse_request_line(R"({"cmd": "learn", "id": 12})");
+  ASSERT_TRUE(admin.is_admin);
+  EXPECT_EQ(admin.admin.id, "12");
+}
+
+TEST(ServeRequest, RejectsBadTokensAndFieldTypes) {
+  const char* bad[] = {
+      "{\"matrix\": \"a\\q.mtx\"}",                   // unknown escape
+      "{\"matrix\": \"a\\u00\"}",                     // truncated escape
+      R"({"matrix": "a.mtx)",                         // unterminated string
+      R"({"matrix": "a.mtx", "materialize": fals})",  // bad literal
+      R"({"matrix": "a.mtx", "deadline_ms": nul})",   // bad literal
+      R"({"matrix": "a.mtx", "deadline_ms": null})",  // null is no number
+      R"({"matrix": "a.mtx", "deadline_ms": 1.2.3})", // bad number
+      R"({"matrix": {"path": "a.mtx"}})",             // nested object
+      R"({"matrix": "a.mtx", "materialize": "yes"})", // bool as string
+      R"({"matrix": 3})",                             // path as number
+      R"({"id": true, "matrix": "a.mtx"})",           // id as bool
+      R"({"matrix": "a.mtx", "features": 5})",        // scalar features
+      R"({"matrix": "a.mtx", "colour": "red"})",      // unknown field
+      R"({"matrix": "a.mtx"} trailing)",              // trailing bytes
+  };
+  for (const char* line : bad) {
+    try {
+      serve::parse_request_line(line);
+      ADD_FAILURE() << "expected Error(kParse) for: " << line;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kParse) << line;
+    }
+  }
+}
+
+TEST(ServeRequest, ShedResponseJsonCarriesEstimatedWait) {
+  Response r;
+  r.id = "s";
+  r.ok = false;
+  r.error = "overloaded";
+  const std::string plain = serve::to_json(r);
+  EXPECT_EQ(plain.find("\"shed\""), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("est_wait_ms"), std::string::npos) << plain;
+  r.shed = "queue_full";
+  r.est_wait_ms = 12.5;
+  r.retries = 2;
+  const std::string shed = serve::to_json(r);
+  EXPECT_NE(shed.find("\"ok\":false"), std::string::npos) << shed;
+  EXPECT_NE(shed.find("\"shed\":\"queue_full\""), std::string::npos) << shed;
+  EXPECT_NE(shed.find("\"est_wait_ms\":12.5"), std::string::npos) << shed;
+  EXPECT_NE(shed.find("\"retries\":2"), std::string::npos) << shed;
+  // An error response names no format.
+  EXPECT_EQ(shed.find("\"format\""), std::string::npos) << shed;
+}
+
 TEST(ServeRequest, MaterializeNeedsMatrixAndNonPredictMode) {
   // Inline features carry no CSR master copy to convert, and predict
   // picks no format — both combinations are schema errors, not runtime
